@@ -27,8 +27,10 @@ class LpNumericalError(EngineError):
 class InfeasibleError(EngineError):
     """A clearing problem admits no feasible dispatch.
 
-    ``stage`` names the binding requirement (for example ``"end_level"``) and
-    ``interval_index`` is filled in by the orchestrator where known.
+    ``stage`` names the binding requirement (for example ``"end_level"``).
+    ``interval_index`` is the 1-based index of the failing interval, set by
+    ``runner.run_scenario`` for the sequential modes; it stays None for
+    ``ideal``, whose one LP spans every interval.
     """
 
     def __init__(self, message: str, stage: str = "", interval_index: int | None = None):

@@ -6,6 +6,12 @@ Bland's rule (deterministic: identical inputs give identical outputs), dual
 extraction by constraint label, post-solve optimality certificates, and exact
 dual multiplicity ranges computed over the optimal dual face.
 
+A solve may be given a feasible starting point. When that point is a vertex,
+a basis is crashed at it and phase 2 starts at once; otherwise the solve
+falls back to the two-phase path. Price ranging uses this: the published
+optimal dual is a vertex of the optimal dual face, so no face solve runs
+phase 1.
+
 Conventions
 -----------
 * ``sense`` is ``"max"`` or ``"min"``; bounds may be ``+-math.inf``.
@@ -21,7 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from numpy.typing import ArrayLike
+from scipy.linalg import lu, lu_factor, lu_solve
 
 from .errors import LpNumericalError
 
@@ -158,17 +165,21 @@ class _Standard:
         self.lb = np.concatenate([np.asarray(lp._lb, dtype=float), np.zeros(m)])
         self.ub = np.concatenate([np.asarray(lp._ub, dtype=float), np.zeros(m)])
         self.b = np.zeros(m)
-        A = np.zeros((m, n + m))
+        rows, cols, vals = [], [], []
         for i, (_label, coeffs, op, rhs) in enumerate(lp._rows):
             for name, coef in coeffs.items():
-                A[i, lp._index[name]] += coef
-            A[i, n + i] = 1.0
+                rows.append(i)
+                cols.append(lp._index[name])
+                vals.append(coef)
             self.b[i] = rhs
             if op == "<=":
                 self.lb[n + i], self.ub[n + i] = 0.0, math.inf
             elif op == ">=":
                 self.lb[n + i], self.ub[n + i] = -math.inf, 0.0
             # "==": slack fixed at [0, 0]
+        A = np.zeros((m, n + m))
+        A[rows, cols] = np.asarray(vals, dtype=float) + 0.0  # -0.0 -> 0.0
+        A[np.arange(m), n + np.arange(m)] = 1.0
         self.A = A
         self.sign = sign
 
@@ -372,13 +383,78 @@ def _drive_out_artificials(A: np.ndarray, lb: np.ndarray, ub: np.ndarray,
             ub[basis[k]] = 0.0
 
 
-def _solve_reference(lp: LinearProgram) -> tuple[str, np.ndarray, np.ndarray]:
-    """Two-phase bounded simplex. Returns (status, x, internal duals)."""
-    std = _Standard(lp)
+def _crash_basis(std: _Standard, start: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Build a feasible basis at a given point of the structural columns.
+
+    Columns strictly inside their bounds (free ones: away from 0) become
+    basic: structural ones on pivot rows taken from a partial-pivoting LU of
+    their tight-row block, slacks of non-tight rows in their own rows. Every
+    other row keeps its own slack; nonbasic columns rest on the bound they
+    sit on (free ones at 0) and basic values are recomputed from the basis.
+    Returns (x, state, basis), or None when the point is infeasible beyond a
+    scale-aware tolerance or its interior columns are dependent (it is not
+    a vertex).
+    """
+    n, m = std.n, std.m
+    A, lb, ub = std.A, std.lb, std.ub
+    x = np.concatenate([start, std.b - A[:, :n] @ start])
+    if not np.all(np.isfinite(x)):
+        return None
+    tol = _PIVOT_EPS * max(1.0, float(np.max(np.abs(x))),
+                           float(np.max(np.abs(std.b))))
+    if np.any(x < lb - tol) or np.any(x > ub + tol):
+        return None
+    at_lower = (lb > -math.inf) & (x <= lb + tol)
+    at_upper = ~at_lower & (ub < math.inf) & (x >= ub - tol)
+    free_at_zero = (lb == -math.inf) & (ub == math.inf) & (np.abs(x) <= tol)
+    interior = ~(at_lower | at_upper | free_at_zero)
+    cols = np.flatnonzero(interior[:n])
+    tight = np.flatnonzero(~interior[n:])
+    basis = np.arange(n, n + m)
+    if cols.size:
+        if cols.size > tight.size:
+            return None
+        block = A[np.ix_(tight, cols)]
+        perm, _lower, upper = lu(block, p_indices=True, check_finite=False)
+        if float(np.min(np.abs(np.diag(upper)))) <= (
+                _PIVOT_EPS * max(1.0, float(np.max(np.abs(block))))):
+            return None
+        basis[tight[np.argsort(perm)[:cols.size]]] = cols
+    state = np.where(at_lower, _AT_LOWER,
+                     np.where(at_upper, _AT_UPPER, _FREE)).astype(np.int8)
+    state[basis] = _BASIC
+    x = np.where(at_lower, lb, np.where(at_upper, ub, 0.0))
+    x[basis] = 0.0
+    # basic values: the interior columns from their pivot rows, then every
+    # other row's own slack takes up what is left of its row
+    rest = std.b - A @ x
+    pivot = basis < n
+    on_pivot = basis[pivot]
+    x[on_pivot] = np.linalg.solve(A[np.ix_(pivot, on_pivot)], rest[pivot])
+    rest -= A[:, on_pivot] @ x[on_pivot]
+    x[basis[~pivot]] = rest[~pivot]
+    if np.any(x < lb - tol) or np.any(x > ub + tol):
+        return None
+    return x, state, basis
+
+
+def _solve_reference(std: _Standard, start: np.ndarray | None = None
+                     ) -> tuple[str, np.ndarray, np.ndarray]:
+    """Bounded simplex. Phase 2 starts at once from a basis crashed at
+    ``start`` when that is a feasible vertex, and otherwise from a feasible
+    nonbasic start or after phase 1. Returns (status, x, internal duals)."""
     total = std.n + std.m
     m = std.m
-    x, state = _initial_point(std)
     max_iter = 50 * (total + m)
+    if start is not None and m:
+        crashed = _crash_basis(std, start)
+        if crashed is not None:
+            x, state, basis = crashed
+            status, y = _run_phase(std, std.A, std.c, std.lb, std.ub, x,
+                                   state, basis, max_iter)
+            return status, x[:std.n], y
+    x, state = _initial_point(std)
     if m == 0:
         basis = np.zeros(0, dtype=int)
         status, y = _run_phase(std, std.A, std.c, std.lb, std.ub, x, state,
@@ -415,19 +491,22 @@ def _solve_reference(lp: LinearProgram) -> tuple[str, np.ndarray, np.ndarray]:
     return status, x1[:std.n], y
 
 
-_BACKENDS = {"reference": _solve_reference}
-
-
 def check_certificates(lp: LinearProgram, solution: LpSolution,
                        tolerance: float = EPS) -> CertificateReport:
     """Verify primal feasibility, dual feasibility, complementary slackness,
     and strong duality for an optimal (primal, dual) pair."""
     std = _Standard(lp)
-    n, m = std.n, std.m
     x = np.array([solution.primal[name] for name in lp.variable_names], dtype=float)
     y_user = np.array([solution.duals[label] for label in lp.constraint_labels],
                       dtype=float)
-    y = std.sign * y_user  # internal min-form duals
+    return _certify(std, x, std.sign * y_user, tolerance)
+
+
+def _certify(std: _Standard, x: np.ndarray, y: np.ndarray,
+             tolerance: float) -> CertificateReport:
+    """Certificate residuals of structural values ``x`` and internal
+    min-form duals ``y`` against one standard form."""
+    n, m = std.n, std.m
     # recover slack values from row activities
     slack = std.b - std.A[:, :n] @ x if m else np.zeros(0)
     xe = np.concatenate([x, slack])
@@ -435,29 +514,18 @@ def check_certificates(lp: LinearProgram, solution: LpSolution,
                 float(np.max(np.abs(std.b))) if m else 1.0)
     lo = np.where(np.isfinite(std.lb), std.lb, -np.inf)
     hi = np.where(np.isfinite(std.ub), std.ub, np.inf)
-    primal_res = 0.0
-    for j in range(n + m):
-        primal_res = max(primal_res, lo[j] - xe[j], xe[j] - hi[j])
+    primal_res = max(_max0(lo - xe), _max0(xe - hi))
     rc = std.c - std.A.T @ y if m else std.c.copy()
-    dual_res = 0.0
-    comp_res = 0.0
-    dual_obj = float(std.b @ y) if m else 0.0
-    for j in range(n + m):
-        r = float(rc[j])
-        # internal min form: positive rc must rest on a finite lower bound,
-        # negative rc on a finite upper bound
-        if r > 0:
-            if std.lb[j] == -math.inf:
-                dual_res = max(dual_res, r)
-            else:
-                comp_res = max(comp_res, r * (xe[j] - std.lb[j]) / scale)
-                dual_obj += r * std.lb[j]
-        elif r < 0:
-            if std.ub[j] == math.inf:
-                dual_res = max(dual_res, -r)
-            else:
-                comp_res = max(comp_res, -r * (std.ub[j] - xe[j]) / scale)
-                dual_obj += r * std.ub[j]
+    # internal min form: positive rc must rest on a finite lower bound,
+    # negative rc on a finite upper bound
+    on_lb = (rc > 0) & (std.lb > -math.inf)
+    on_ub = (rc < 0) & (std.ub < math.inf)
+    dual_res = max(_max0(rc[(rc > 0) & ~on_lb]), _max0(-rc[(rc < 0) & ~on_ub]))
+    comp_res = max(_max0(rc[on_lb] * (xe[on_lb] - std.lb[on_lb]) / scale),
+                   _max0(-rc[on_ub] * (std.ub[on_ub] - xe[on_ub]) / scale))
+    dual_obj = ((float(std.b @ y) if m else 0.0)
+                + float(rc[on_lb] @ std.lb[on_lb])
+                + float(rc[on_ub] @ std.ub[on_ub]))
     primal_obj = float(std.c[:n] @ x)
     gap = abs(primal_obj - dual_obj) / max(1.0, abs(primal_obj))
     return CertificateReport(
@@ -469,22 +537,33 @@ def check_certificates(lp: LinearProgram, solution: LpSolution,
     )
 
 
-def solve(lp: LinearProgram, backend: str = "reference") -> LpSolution:
+def _max0(values: np.ndarray) -> float:
+    """Largest entry, or 0 when every entry is below 0 or there is none."""
+    return max(0.0, float(np.max(values))) if values.size else 0.0
+
+
+def solve(lp: LinearProgram, start: ArrayLike | None = None) -> LpSolution:
     """Solve the LP. Status is ``optimal``, ``infeasible`` or ``unbounded``;
-    optimal solves carry duals by label and a verified certificate report."""
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; have {sorted(_BACKENDS)}")
-    status, x, y = _BACKENDS[backend](lp)
+    optimal solves carry duals by label and a verified certificate report.
+
+    ``start`` optionally gives a feasible point of the variables, in
+    declaration order. When it is a vertex the simplex starts there and
+    skips phase 1; any other start is ignored.
+    """
+    std = _Standard(lp)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (std.n,):
+            raise ValueError(f"start has shape {start.shape}, expected "
+                             f"({std.n},)")
+    status, x, y = _solve_reference(std, start)
     if status != OPTIMAL:
         return LpSolution(status=status, objective=math.nan, primal={}, duals={})
-    std_sign = -1.0 if lp.sense == "max" else 1.0
     primal = {name: float(x[j]) for j, name in enumerate(lp.variable_names)}
-    duals = {label: float(std_sign * y[i])
+    duals = {label: float(std.sign * y[i])
              for i, label in enumerate(lp.constraint_labels)}
     objective = float(np.dot(np.asarray(lp._obj, dtype=float), x))
-    solution = LpSolution(status=OPTIMAL, objective=objective, primal=primal,
-                          duals=duals)
-    report = check_certificates(lp, solution)
+    report = _certify(std, x, y, EPS)
     if not report.ok:
         raise LpNumericalError(
             f"optimality certificates failed for {lp.name!r}: {report}")
@@ -497,15 +576,37 @@ def dual_range(lp: LinearProgram, solution: LpSolution,
     """Exact multiplicity range of one constraint's dual over the optimal dual
     face (dual feasibility plus dual objective equal to the primal optimum).
 
+    The face is built once and solved twice, for the least and the greatest
+    dual. Both solves go through ``solve``, so both are certificate-checked,
+    and both start at the published dual: it is the dual of the primal's
+    optimal basis and hence a vertex of the face, so phase 2 starts there
+    and phase 1 is skipped.
+
     Both endpoints are attained by optimal dual solutions; the published dual
-    lies inside the returned interval.
+    lies inside the returned interval. A face that is unbounded in either
+    direction raises LpNumericalError.
     """
     if solution.status != OPTIMAL:
         raise ValueError("dual_range requires an optimal solution")
     if label not in lp.constraint_labels:
         raise ValueError(f"unknown constraint label {label!r}")
-    lo = _dual_face_extremum(lp, solution, label, "min")
-    hi = _dual_face_extremum(lp, solution, label, "max")
+    face, sgn = _dual_face(lp, solution, label)
+    name = face.name
+    # the published dual lies on the face: both solves start there
+    start = [sgn * solution.duals[lab] for lab in lp.constraint_labels]
+    ends = []
+    for direction in ("min", "max"):
+        # for a min primal the face holds negated duals: query the mirrored
+        # extremum and negate back
+        face.sense = "min" if (direction == "min") != (sgn < 0) else "max"
+        face.name = f"{name}:{direction}"
+        sol = solve(face, start=start)
+        if sol.status != OPTIMAL:
+            raise LpNumericalError(
+                f"dual face for {lp.name!r} is {sol.status}; cannot range "
+                f"{label!r}")
+        ends.append(sgn * sol.objective)
+    lo, hi = ends
     point = solution.duals[label]
     if not (lo - EPS <= point <= hi + EPS):
         raise LpNumericalError(
@@ -514,11 +615,12 @@ def dual_range(lp: LinearProgram, solution: LpSolution,
     return lo, hi
 
 
-def _dual_face_extremum(lp: LinearProgram, solution: LpSolution, label: str,
-                        direction: str) -> float:
-    # Build the dual face in max orientation; for a min primal the face of
-    # the negated-objective max problem has every dual negated, so query the
-    # mirrored extremum and negate back.
+def _dual_face(lp: LinearProgram, solution: LpSolution,
+               label: str) -> tuple[LinearProgram, float]:
+    """The optimal dual face with objective ``y[label]``, and the sign that
+    orients its variables: -1 when the primal is a min problem."""
+    # The face is built in max orientation; for a min primal the face of
+    # the negated-objective max problem has every dual negated.
     #
     # The face is expressed in the row duals alone. Every point of it is an
     # optimal dual, so it is complementary to the known optimal primal x*:
@@ -528,11 +630,9 @@ def _dual_face_extremum(lp: LinearProgram, solution: LpSolution, label: str,
     # unrestricted) and makes the surviving multiplier an affine function of
     # y, so the bound terms of the dual objective fold into the
     # strong-duality row instead of needing multiplier variables.
-    mirrored = lp.sense == "min"
-    sgn = -1.0 if mirrored else 1.0
+    sgn = -1.0 if lp.sense == "min" else 1.0
     z_star = sgn * solution.objective
-    face = LinearProgram(name=f"{lp.name}:dualface:{label}:{direction}",
-                         sense="min" if (direction == "min") != mirrored else "max")
+    face = LinearProgram(name=f"{lp.name}:dualface:{label}")
     for lab, _coeffs, op, _rhs in lp._rows:
         if op == "<=":
             ylb, yub = 0.0, math.inf
@@ -572,11 +672,7 @@ def _dual_face_extremum(lp: LinearProgram, solution: LpSolution, label: str,
             for ylab, coef in a_j.items():
                 strong[ylab] = strong.get(ylab, 0.0) - anchor * coef
     face.add_constraint("strong_duality", strong, "==", z_star - shift)
-    sol = solve(face)
-    if sol.status != OPTIMAL:
-        raise LpNumericalError(
-            f"dual face for {lp.name!r} is {sol.status}; cannot range {label!r}")
-    return sgn * sol.objective
+    return face, sgn
 
 
 def write_lp_text(lp: LinearProgram) -> str:

@@ -8,9 +8,11 @@ ledger trajectory.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import clearing
+from .errors import InfeasibleError
 from .model import Scenario, ValueLedger
 from .storage_ledger import apply_discount, update_ledger
 
@@ -37,6 +39,17 @@ class ScenarioRun:
         return self.scenario.mode
 
 
+@contextmanager
+def _interval(index: int):
+    """Tag an InfeasibleError raised inside the block with the 1-based
+    index of the interval being cleared."""
+    try:
+        yield
+    except InfeasibleError as exc:
+        exc.interval_index = index
+        raise
+
+
 def run_scenario(scenario: Scenario,
                  compute_ranges: bool = True) -> ScenarioRun:
     """Clear all intervals of a scenario in its mode."""
@@ -52,9 +65,10 @@ def run_scenario(scenario: Scenario,
         results = []
         content = storage.initial_energy
         for i, interval in enumerate(intervals):
-            res = clearing.clear_split(interval, storage, content,
-                                       compute_ranges=compute_ranges,
-                                       name=f"split_end_level[{i + 1}]")
+            with _interval(i + 1):
+                res = clearing.clear_split(interval, storage, content,
+                                           compute_ranges=compute_ranges,
+                                           name=f"split_end_level[{i + 1}]")
             results.append(res)
             content = res.final_content
         return ScenarioRun(scenario=scenario, results=tuple(results))
@@ -62,9 +76,10 @@ def run_scenario(scenario: Scenario,
         results = []
         content = storage.initial_energy
         for i, interval in enumerate(intervals):
-            res = clearing.clear_split_penalty(
-                interval, storage, content, compute_ranges=compute_ranges,
-                name=f"split_penalty[{i + 1}]")
+            with _interval(i + 1):
+                res = clearing.clear_split_penalty(
+                    interval, storage, content, compute_ranges=compute_ranges,
+                    name=f"split_penalty[{i + 1}]")
             results.append(res)
             content = res.final_content
         return ScenarioRun(scenario=scenario, results=tuple(results))
@@ -78,9 +93,10 @@ def run_scenario(scenario: Scenario,
                 ledger = apply_discount(ledger, scenario.discount_rate,
                                         index - 1)
             befores.append(ledger)
-            res = clearing.clear_vlb(interval, storage, ledger,
-                                     compute_ranges=compute_ranges,
-                                     name=f"vlb[{index}]")
+            with _interval(index):
+                res = clearing.clear_vlb(interval, storage, ledger,
+                                         compute_ranges=compute_ranges,
+                                         name=f"vlb[{index}]")
             results.append(res)
             ledger = update_ledger(ledger, res, index)
         return ScenarioRun(scenario=scenario, results=tuple(results),

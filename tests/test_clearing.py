@@ -20,6 +20,7 @@ from artifact.clearing import (
 from artifact.errors import InfeasibleError, ScenarioError
 from artifact.model import (
     IntervalSpec,
+    Scenario,
     StorageSpec,
     TimeGrid,
     ValueBucket,
@@ -82,6 +83,32 @@ class TestSplitTable1:
         iv = interval([12.0], [0.0], [[5.0]], [[2.0]], end_level=9.0)
         with pytest.raises(InfeasibleError):
             clear_split(iv, StorageSpec(10.0, 0.0), e_init=0.0)
+
+
+class TestInfeasibleIntervalIndex:
+    """The runner names the interval that has no feasible dispatch."""
+
+    @staticmethod
+    def _second_interval_unreachable(mode: str) -> Scenario:
+        # interval 2 needs 9 MWh stored, but its only unit gives 2 MW for 1 h
+        return Scenario(StorageSpec(10.0, 0.0), (
+            interval([12.0], [1.0], [[5.0]], [[2.0]], 0.0, 2.0),
+            interval([12.0], [1.0], [[5.0]], [[2.0]], 9.0, 2.0),
+        ), mode)
+
+    @pytest.mark.parametrize("mode", ["split_end_level", "vlb"])
+    def test_sequential_modes_name_the_second_interval(self, mode):
+        with pytest.raises(InfeasibleError) as info:
+            run_scenario(self._second_interval_unreachable(mode))
+        assert info.value.interval_index == 2
+        assert info.value.stage == "end_level"
+        assert str(info.value) == (f"{mode}[2]: no feasible dispatch "
+                                   "satisfies the end_level requirement")
+
+    def test_ideal_spans_every_interval(self):
+        with pytest.raises(InfeasibleError) as info:
+            run_scenario(self._second_interval_unreachable("ideal"))
+        assert info.value.interval_index is None
 
 
 class TestPenaltyTable1:

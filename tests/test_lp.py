@@ -3,14 +3,23 @@ certificates, and cross-checks against an independent LP solver."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 import scipy.optimize
 
 from artifact import lp as lpmod
-from artifact.errors import LpNumericalError
+from artifact.cli import FIXTURE_NAMES
+from artifact.clearing import clear_split
+from artifact.errors import LpNumericalError, ScenarioError
+from artifact.model import StorageSpec, parse_scenario
+from artifact.runner import run_scenario
+from helpers import random_interval
+
+MODES = ("ideal", "split_end_level", "split_penalty", "vlb")
 
 
 def single_period_market_lp() -> lpmod.LinearProgram:
@@ -158,6 +167,89 @@ class TestCertificates:
         assert not report.ok
 
 
+def _dense_rows(prog: lpmod.LinearProgram):
+    """The LP's rows as (A, b, ops), one row of A per constraint."""
+    names = list(prog.variable_names)
+    A = np.zeros((prog.n_constraints, len(names)))
+    b = np.zeros(prog.n_constraints)
+    ops = []
+    for i, (_lab, coeffs, op, rhs) in enumerate(prog._rows):
+        for v, coef in coeffs.items():
+            A[i, names.index(v)] += coef
+        b[i] = rhs
+        ops.append(op)
+    return A, b, np.array(ops)
+
+
+def _certificates_by_loop(prog: lpmod.LinearProgram, solution):
+    """The certificate residuals computed column by column from the
+    LP's rows: the reference for the vectorized check. Returns
+    (A, residuals) with A the standard-form matrix [A | I]."""
+    names = list(prog.variable_names)
+    n, m = len(names), prog.n_constraints
+    sign = -1.0 if prog.sense == "max" else 1.0
+    rows, b, ops = _dense_rows(prog)
+    A = np.hstack([rows, np.eye(m)])
+    lb = [prog.bounds(v)[0] for v in names] + [0.0] * m
+    ub = [prog.bounds(v)[1] for v in names] + [0.0] * m
+    c = [sign * prog.objective_coefficient(v) for v in names] + [0.0] * m
+    for i, op in enumerate(ops):
+        if op == "<=":
+            ub[n + i] = math.inf
+        elif op == ">=":
+            lb[n + i] = -math.inf
+    x = np.array([solution.primal[v] for v in names])
+    y = sign * np.array([solution.duals[lab] for lab in prog.constraint_labels])
+    xe = np.concatenate([x, b - A[:, :n] @ x])
+    scale = max([1.0] + [abs(v) for v in xe] + [abs(v) for v in b])
+    primal = dual = comp = 0.0
+    dual_obj = float(b @ y)
+    rc = np.array(c) - A.T @ y
+    for j in range(n + m):
+        primal = max(primal, lb[j] - xe[j], xe[j] - ub[j])
+        r = float(rc[j])
+        if r > 0:
+            if lb[j] == -math.inf:
+                dual = max(dual, r)
+            else:
+                comp = max(comp, r * (xe[j] - lb[j]) / scale)
+                dual_obj += r * lb[j]
+        elif r < 0:
+            if ub[j] == math.inf:
+                dual = max(dual, -r)
+            else:
+                comp = max(comp, -r * (ub[j] - xe[j]) / scale)
+                dual_obj += r * ub[j]
+    primal_obj = float(np.array(c[:n]) @ x)
+    gap = abs(primal_obj - dual_obj) / max(1.0, abs(primal_obj))
+    return A, (primal / scale, dual, comp, gap)
+
+
+class TestCertificatesAgainstLoop:
+    def test_vectorized_check_matches_the_loop(self):
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(200):
+            prog, _ = _random_lp(rng)
+            sol = lpmod.solve(prog)
+            if sol.status != lpmod.OPTIMAL:
+                continue
+            # the optimum, then duals and primal moved off it
+            moved = lpmod.LpSolution(
+                sol.status, sol.objective,
+                {k: v + float(rng.normal()) for k, v in sol.primal.items()},
+                {k: v + float(rng.normal()) for k, v in sol.duals.items()})
+            for trial in (sol, moved):
+                A, want = _certificates_by_loop(prog, trial)
+                assert np.array_equal(lpmod._Standard(prog).A, A)
+                got = lpmod.check_certificates(prog, trial)
+                assert (got.primal_residual, got.dual_residual,
+                        got.complementarity_residual) == want[:3]
+                assert got.duality_gap == pytest.approx(want[3], abs=1e-12)
+                checked += 1
+        assert checked >= 100
+
+
 class TestDualRange:
     def test_unique_dual_collapses_range(self):
         prog = lpmod.LinearProgram(sense="max")
@@ -288,3 +380,233 @@ class TestScaling:
         assert "maximize" in text
         assert "balance" in text
         assert "12 d" in text
+
+
+def _fixture_clearings():
+    """(lp, solution) of every clearing LP of the bundled fixtures, in all
+    four modes, cleared without ranges."""
+    out = []
+    for name in FIXTURE_NAMES:
+        text = (resources.files("artifact") / "fixtures"
+                / f"{name}.json").read_text()
+        for mode in MODES:
+            scn = dataclasses.replace(parse_scenario(text), mode=mode)
+            try:
+                run = run_scenario(scn, compute_ranges=False)
+            except ScenarioError:
+                continue  # split_penalty on a fixture without penalties
+            results = [r for r in run.results if r.lp is not None]
+            if run.full_result is not None:
+                results.append(run.full_result)
+            out += [(r.lp, r.lp_solution) for r in results]
+    return out
+
+
+def _random_clearings(seed: int, count: int):
+    """(lp, solution) of seeded ``random_interval`` split clearings."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        storage = StorageSpec(float(rng.uniform(0.5, 3.0)), 0.0)
+        res = clear_split(random_interval(rng, storage.capacity), storage,
+                          e_init=0.0, compute_ranges=False)
+        out.append((res.lp, res.lp_solution))
+    return out
+
+
+def _balance_labels(prog):
+    return [lab for lab in prog.constraint_labels if lab.startswith("balance")]
+
+
+class TestWarmStartedFaces:
+    """Face solves start at the published dual and skip phase 1; any other
+    start falls back to the cold two-phase path."""
+
+    @staticmethod
+    def _spy_phases(monkeypatch):
+        """Record, per ``_run_phase`` call, whether artificial columns were
+        present (phase 1 and the phase 2 after it carry them)."""
+        calls = []
+        run_phase = lpmod._run_phase
+
+        def spy(std, A, c, *args, **kwargs):
+            calls.append(A.shape[1] > std.n + std.m)
+            return run_phase(std, A, c, *args, **kwargs)
+
+        monkeypatch.setattr(lpmod, "_run_phase", spy)
+        return calls
+
+    @pytest.mark.parametrize("source", ["fixtures", "random_interval"])
+    def test_no_face_solve_runs_phase_1(self, monkeypatch, source):
+        clearings = (_fixture_clearings() if source == "fixtures"
+                     else _random_clearings(20261018, 40))
+        calls = self._spy_phases(monkeypatch)
+        ranged = 0
+        for prog, sol in clearings:
+            for label in _balance_labels(prog):
+                del calls[:]
+                lpmod.dual_range(prog, sol, label)
+                # one phase per face solve, and never one with artificials
+                assert calls == [False, False], (prog.name, label)
+                ranged += 1
+        assert ranged >= 40
+
+    def test_vertex_start_skips_phase_1(self, monkeypatch):
+        prog = lpmod.LinearProgram(sense="min")
+        prog.add_variable("x", 0.0, 10.0, objective=1.0)
+        prog.add_variable("y", 0.0, 10.0, objective=2.0)
+        prog.add_constraint("floor", {"x": 1.0, "y": 1.0}, ">=", 4.0)
+        calls = self._spy_phases(monkeypatch)
+        cold = lpmod.solve(prog)
+        assert True in calls  # the cold start is infeasible: phase 1 runs
+        del calls[:]
+        warm = lpmod.solve(prog, start=[0.0, 4.0])
+        assert calls == [False]
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert warm.primal == pytest.approx({"x": 4.0, "y": 0.0}, abs=1e-9)
+        assert warm.certificate is not None and warm.certificate.ok
+
+    def test_bounded_column_at_zero_is_basic(self, monkeypatch):
+        # x = 0 lies strictly inside [-5, 5]: at the vertex (0, 3) both
+        # columns are basic on the two tight rows
+        prog = lpmod.LinearProgram(sense="max")
+        prog.add_variable("x", -5.0, 5.0, objective=1.0)
+        prog.add_variable("y", 0.0, 4.0, objective=2.0)
+        prog.add_constraint("cap", {"x": 1.0, "y": 1.0}, "<=", 3.0)
+        prog.add_constraint("link", {"x": 1.0, "y": -1.0}, "<=", -3.0)
+        fallbacks = self._spy_fallbacks(monkeypatch)
+        warm = lpmod.solve(prog, start=[0.0, 3.0])
+        assert fallbacks == [False]
+        assert warm.objective == pytest.approx(7.0, abs=1e-9)
+        assert warm.primal == pytest.approx({"x": -1.0, "y": 4.0}, abs=1e-9)
+
+    def _assert_same_as_cold(self, prog, start):
+        cold = lpmod.solve(prog)
+        warm = lpmod.solve(prog, start=start)
+        assert warm.status == cold.status
+        if cold.status == lpmod.OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert warm.certificate is not None and warm.certificate.ok
+
+    @staticmethod
+    def _spy_fallbacks(monkeypatch):
+        """Record, per crash attempt, whether it fell back."""
+        fallbacks = []
+        crash = lpmod._crash_basis
+
+        def spy(std, start):
+            out = crash(std, start)
+            fallbacks.append(out is None)
+            return out
+
+        monkeypatch.setattr(lpmod, "_crash_basis", spy)
+        return fallbacks
+
+    def test_infeasible_start_falls_back(self, monkeypatch):
+        fallbacks = self._spy_fallbacks(monkeypatch)
+        # outside the bounds, and off the balance row
+        for start in ([9.0, 9.0, 9.0, 9.0], [2.0, 0.0, 0.0, -1.0]):
+            self._assert_same_as_cold(single_period_market_lp(), start)
+        assert fallbacks == [True, True]
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            prog, _ = _random_lp(rng)
+            start = rng.uniform(-10.0, 10.0, prog.n_variables)
+            self._assert_same_as_cold(prog, start)
+
+    def test_feasible_non_vertex_start_falls_back(self, monkeypatch):
+        fallbacks = self._spy_fallbacks(monkeypatch)
+        # d and p1 both strictly inside their bounds on one balance row
+        self._assert_same_as_cold(single_period_market_lp(),
+                                  [2.0, 1.0, 0.0, -1.0])
+        assert fallbacks == [True]
+
+    def test_start_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(ValueError):
+            lpmod.solve(single_period_market_lp(), start=[0.0, 1.0])
+
+
+def _face_extrema_oracle(prog: lpmod.LinearProgram, label: str):
+    """Least and greatest dual of ``label`` over the optimal dual face, by
+    HiGHS, from the full dual with explicit bound multipliers:
+    min b.y + ub.u - lb.v s.t. A'y + u - v = c, u, v >= 0 over the max form.
+    Returns None when HiGHS finds the face unbounded in that direction."""
+    names = list(prog.variable_names)
+    labels = list(prog.constraint_labels)
+    n = len(names)
+    sign = -1.0 if prog.sense == "min" else 1.0
+    c = sign * np.array([prog.objective_coefficient(v) for v in names])
+    lb = np.array([prog.bounds(v)[0] for v in names])
+    ub = np.array([prog.bounds(v)[1] for v in names])
+    A, b, ops = _dense_rows(prog)
+    ybounds = [{"<=": (0.0, None), ">=": (None, 0.0), "==": (None, None)}[op]
+               for op in ops]
+    le, ge, eq = ops == "<=", ops == ">=", ops == "=="
+    a_ub = np.vstack([A[le], -A[ge]])
+    options = {"primal_feasibility_tolerance": 1e-10,
+               "dual_feasibility_tolerance": 1e-10}
+    primal = scipy.optimize.linprog(
+        -c, A_ub=a_ub if a_ub.size else None,
+        b_ub=np.concatenate([b[le], -b[ge]]) if a_ub.size else None,
+        A_eq=A[eq] if eq.any() else None, b_eq=b[eq] if eq.any() else None,
+        bounds=[(None if math.isinf(v) else v, None if math.isinf(w) else w)
+                for v, w in zip(lb, ub)],
+        method="highs", options=options)
+    assert primal.status == 0, primal.message
+    z = -primal.fun
+    up, lo = np.isfinite(ub), np.isfinite(lb)
+    face_eq = np.hstack([A.T, np.eye(n)[:, up], -np.eye(n)[:, lo]])
+    face_obj = np.concatenate([b, ub[up], -lb[lo]])
+    bounds = ybounds + [(0.0, None)] * int(up.sum() + lo.sum())
+    ends = []
+    for goal_sign in (1.0, -1.0):
+        goal = np.zeros(face_eq.shape[1])
+        goal[labels.index(label)] = goal_sign
+        res = scipy.optimize.linprog(
+            goal, A_eq=face_eq, b_eq=c, A_ub=face_obj[None, :],
+            b_ub=[z + 1e-12 * max(1.0, abs(z))], bounds=bounds,
+            method="highs", options=options)
+        if res.status == 3:
+            return None
+        assert res.status == 0, res.message
+        ends.append(goal_sign * res.fun)
+    lo_y, hi_y = ends
+    return (lo_y, hi_y) if sign > 0 else (-hi_y, -lo_y)
+
+
+class TestDualRangeAgainstIndependentSolver:
+    """Range endpoints are unique optimal values: an independent solver over
+    the same face must reproduce them."""
+
+    @staticmethod
+    def _assert_matches(prog, sol, label):
+        want = _face_extrema_oracle(prog, label)
+        if want is None:
+            with pytest.raises(LpNumericalError):
+                lpmod.dual_range(prog, sol, label)
+            return
+        got = lpmod.dual_range(prog, sol, label)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-7 * max(1.0, abs(w)), (prog.name, label,
+                                                           got, want)
+
+    def test_random_lps(self):
+        rng = np.random.default_rng(20260822)
+        checked = 0
+        for _ in range(50):
+            prog, _ = _random_lp(rng)
+            sol = lpmod.solve(prog)
+            if sol.status != lpmod.OPTIMAL:
+                continue
+            for label in prog.constraint_labels:
+                self._assert_matches(prog, sol, label)
+                checked += 1
+        assert checked >= 30
+
+    @pytest.mark.parametrize("source", ["fixtures", "random_interval"])
+    def test_clearings(self, source):
+        clearings = (_fixture_clearings() if source == "fixtures"
+                     else _random_clearings(20261019, 20))
+        for prog, sol in clearings:
+            for label in _balance_labels(prog):
+                self._assert_matches(prog, sol, label)
