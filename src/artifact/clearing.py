@@ -5,6 +5,9 @@ whole horizon), ``split_end_level`` (per interval, storage steered to a
 target end level), ``split_penalty`` (per interval, the target replaced by a
 price on leftover energy), and ``vlb`` (per interval, previously stored
 energy offered back through virtual load bids priced from a value ledger).
+The first three are one storage-level chain built by ``_clear_chain``: they
+differ only in the periods the chain spans and in how its last level is
+closed (an ``end_level`` row, or a price on the level).
 
 Sign conventions: storage injection is charge-positive in MW; prices are
 EUR/MWh (balance-row duals divided by delta_t). ``ClearingResult.objective``
@@ -15,9 +18,10 @@ social welfare lives in :mod:`artifact.metrics`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import lp as lpmod
+from . import storage_ledger
 from .errors import InfeasibleError, LpNumericalError, ScenarioError
 from .model import IntervalSpec, StorageSpec, ValueLedger
 
@@ -132,39 +136,67 @@ def _solve_or_raise(prog: lpmod.LinearProgram, requirement: str) -> lpmod.LpSolu
     return sol
 
 
-def clear_split(interval: IntervalSpec, storage: StorageSpec, e_init: float,
-                compute_ranges: bool = True, name: str = "split") -> ClearingResult:
-    """Clear one interval with the storage steered to its target end level."""
-    T, dt = interval.grid.n_periods, interval.grid.delta_t
+def _clear_chain(mode: str, intervals: tuple[IntervalSpec, ...],
+                 storage: StorageSpec, e_init: float, compute_ranges: bool,
+                 name: str, penalty: float | None = None) -> ClearingResult:
+    """Clear one chain of storage levels over the periods of ``intervals``,
+    starting from ``e_init``. Without a penalty the last level is held to
+    the last interval's end level; with one it is free and every MWh left
+    costs ``penalty`` in the objective."""
+    dt = intervals[0].grid.delta_t
+    spans = []
+    total = 0
+    for iv in intervals:
+        spans.append((iv, total))
+        total += iv.grid.n_periods
     prog = lpmod.LinearProgram(name=name, sense="max")
-    _add_bid_variables(prog, interval, dt, 0)
-    for t in range(T):
+    for iv, offset in spans:
+        _add_bid_variables(prog, iv, dt, offset)
+    for t in range(total):
         prog.add_variable(f"pC[{t + 1}]", -math.inf, math.inf)
-    for t in range(T):
-        prog.add_variable(f"e[{t + 1}]", 0.0, storage.capacity)
-    for t in range(T):
-        coeffs = _balance_coeffs(interval, t, 0)
-        coeffs[f"pC[{t + 1}]"] = 1.0
-        prog.add_constraint(f"balance[{t + 1}]", coeffs, "==", 0.0)
-    for t in range(T):
+    for t in range(total):
+        last = penalty is not None and t == total - 1
+        prog.add_variable(f"e[{t + 1}]", 0.0, storage.capacity,
+                          objective=-penalty if last else 0.0)
+    for iv, offset in spans:
+        for t in range(iv.grid.n_periods):
+            coeffs = _balance_coeffs(iv, t, offset)
+            coeffs[f"pC[{offset + t + 1}]"] = 1.0
+            prog.add_constraint(f"balance[{offset + t + 1}]", coeffs, "==", 0.0)
+    for t in range(total):
         coeffs = {f"e[{t + 1}]": 1.0, f"pC[{t + 1}]": -dt}
         if t:
             coeffs[f"e[{t}]"] = -1.0
         prog.add_constraint(f"level[{t + 1}]", coeffs, "==",
                             e_init if t == 0 else 0.0)
-    prog.add_constraint("end_level", {f"e[{T}]": 1.0}, "==", interval.end_level)
-    sol = _solve_or_raise(prog, "end_level")
-    loads, gens = _extract_dispatch(sol, interval, 0)
-    prices, ranges = _prices_and_ranges(prog, sol, T, dt, compute_ranges)
-    level = tuple(_clean(sol.primal[f"e[{t + 1}]"]) for t in range(T))
+    if penalty is None:
+        prog.add_constraint("end_level", {f"e[{total}]": 1.0}, "==",
+                            intervals[-1].end_level)
+    sol = _solve_or_raise(prog,
+                          "end_level" if penalty is None else "storage_level")
+    loads: list[dict[str, float]] = []
+    gens: list[dict[str, float]] = []
+    for iv, offset in spans:
+        ld, gd = _extract_dispatch(sol, iv, offset)
+        loads.extend(ld)
+        gens.extend(gd)
+    prices, ranges = _prices_and_ranges(prog, sol, total, dt, compute_ranges)
+    level = tuple(_clean(sol.primal[f"e[{t + 1}]"]) for t in range(total))
     return ClearingResult(
-        mode="split_end_level", delta_t=dt, n_periods=T,
+        mode=mode, delta_t=dt, n_periods=total,
         load_dispatch=tuple(loads), gen_dispatch=tuple(gens),
         storage_injection=tuple(_clean(sol.primal[f"pC[{t + 1}]"])
-                                for t in range(T)),
+                                for t in range(total)),
         prices=prices, price_ranges=ranges, level=level,
         objective=sol.objective, initial_content=float(e_init),
         final_content=level[-1], lp=prog, lp_solution=sol)
+
+
+def clear_split(interval: IntervalSpec, storage: StorageSpec, e_init: float,
+                compute_ranges: bool = True, name: str = "split") -> ClearingResult:
+    """Clear one interval with the storage steered to its target end level."""
+    return _clear_chain("split_end_level", (interval,), storage, e_init,
+                        compute_ranges, name)
 
 
 def clear_split_penalty(interval: IntervalSpec, storage: StorageSpec,
@@ -174,37 +206,8 @@ def clear_split_penalty(interval: IntervalSpec, storage: StorageSpec,
     interval's penalty price instead of a fixed end level."""
     if interval.penalty_price is None:
         raise ScenarioError("split_penalty clearing requires penalty_price")
-    T, dt = interval.grid.n_periods, interval.grid.delta_t
-    prog = lpmod.LinearProgram(name=name, sense="max")
-    _add_bid_variables(prog, interval, dt, 0)
-    for t in range(T):
-        prog.add_variable(f"pC[{t + 1}]", -math.inf, math.inf)
-    for t in range(T):
-        # the final level carries the penalty term in the objective
-        obj = -interval.penalty_price if t == T - 1 else 0.0
-        prog.add_variable(f"e[{t + 1}]", 0.0, storage.capacity, objective=obj)
-    for t in range(T):
-        coeffs = _balance_coeffs(interval, t, 0)
-        coeffs[f"pC[{t + 1}]"] = 1.0
-        prog.add_constraint(f"balance[{t + 1}]", coeffs, "==", 0.0)
-    for t in range(T):
-        coeffs = {f"e[{t + 1}]": 1.0, f"pC[{t + 1}]": -dt}
-        if t:
-            coeffs[f"e[{t}]"] = -1.0
-        prog.add_constraint(f"level[{t + 1}]", coeffs, "==",
-                            e_init if t == 0 else 0.0)
-    sol = _solve_or_raise(prog, "storage_level")
-    loads, gens = _extract_dispatch(sol, interval, 0)
-    prices, ranges = _prices_and_ranges(prog, sol, T, dt, compute_ranges)
-    level = tuple(_clean(sol.primal[f"e[{t + 1}]"]) for t in range(T))
-    return ClearingResult(
-        mode="split_penalty", delta_t=dt, n_periods=T,
-        load_dispatch=tuple(loads), gen_dispatch=tuple(gens),
-        storage_injection=tuple(_clean(sol.primal[f"pC[{t + 1}]"])
-                                for t in range(T)),
-        prices=prices, price_ranges=ranges, level=level,
-        objective=sol.objective, initial_content=float(e_init),
-        final_content=level[-1], lp=prog, lp_solution=sol)
+    return _clear_chain("split_penalty", (interval,), storage, e_init,
+                        compute_ranges, name, penalty=interval.penalty_price)
 
 
 def clear_ideal(storage: StorageSpec, intervals: tuple[IntervalSpec, ...],
@@ -217,51 +220,8 @@ def clear_ideal(storage: StorageSpec, intervals: tuple[IntervalSpec, ...],
     dts = {iv.grid.delta_t for iv in intervals}
     if len(dts) > 1:
         raise ScenarioError("clear_ideal requires a shared delta_t")
-    dt = intervals[0].grid.delta_t
-    total = sum(iv.grid.n_periods for iv in intervals)
-    prog = lpmod.LinearProgram(name=name, sense="max")
-    offset = 0
-    for iv in intervals:
-        _add_bid_variables(prog, iv, dt, offset)
-        offset += iv.grid.n_periods
-    for t in range(total):
-        prog.add_variable(f"pC[{t + 1}]", -math.inf, math.inf)
-    for t in range(total):
-        prog.add_variable(f"e[{t + 1}]", 0.0, storage.capacity)
-    offset = 0
-    for iv in intervals:
-        for t in range(iv.grid.n_periods):
-            coeffs = _balance_coeffs(iv, t, offset)
-            coeffs[f"pC[{offset + t + 1}]"] = 1.0
-            prog.add_constraint(f"balance[{offset + t + 1}]", coeffs, "==", 0.0)
-        offset += iv.grid.n_periods
-    for t in range(total):
-        coeffs = {f"e[{t + 1}]": 1.0, f"pC[{t + 1}]": -dt}
-        if t:
-            coeffs[f"e[{t}]"] = -1.0
-        prog.add_constraint(f"level[{t + 1}]", coeffs, "==",
-                            storage.initial_energy if t == 0 else 0.0)
-    prog.add_constraint("end_level", {f"e[{total}]": 1.0}, "==",
-                        intervals[-1].end_level)
-    sol = _solve_or_raise(prog, "end_level")
-    loads: list[dict[str, float]] = []
-    gens: list[dict[str, float]] = []
-    offset = 0
-    for iv in intervals:
-        ld, gd = _extract_dispatch(sol, iv, offset)
-        loads.extend(ld)
-        gens.extend(gd)
-        offset += iv.grid.n_periods
-    prices, ranges = _prices_and_ranges(prog, sol, total, dt, compute_ranges)
-    level = tuple(_clean(sol.primal[f"e[{t + 1}]"]) for t in range(total))
-    return ClearingResult(
-        mode="ideal", delta_t=dt, n_periods=total,
-        load_dispatch=tuple(loads), gen_dispatch=tuple(gens),
-        storage_injection=tuple(_clean(sol.primal[f"pC[{t + 1}]"])
-                                for t in range(total)),
-        prices=prices, price_ranges=ranges, level=level,
-        objective=sol.objective, initial_content=storage.initial_energy,
-        final_content=level[-1], lp=prog, lp_solution=sol)
+    return _clear_chain("ideal", intervals, storage, storage.initial_energy,
+                        compute_ranges, name)
 
 
 def dispatch_welfare(result: ClearingResult, interval: IntervalSpec,
@@ -391,10 +351,4 @@ def clear_vlb(interval: IntervalSpec, storage: StorageSpec,
         final_content=_clean(intra_level[-1]
                              + sum(row[-1] for row in inter_level)),
         lp=prog, lp_solution=sol)
-    from .storage_ledger import remove_simultaneous  # cycle: ledger ops consume results
-    return remove_simultaneous(result)
-
-
-def replace_result(result: ClearingResult, **changes) -> ClearingResult:
-    """dataclasses.replace with the non-compared LP fields preserved."""
-    return replace(result, **changes)
+    return storage_ledger.remove_simultaneous(result)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
+from . import lp as lpmod
 from .errors import EngineError, InfeasibleError, ScenarioError
 from .metrics import (
     VERDICT_FAIL,
@@ -387,8 +388,6 @@ def _load_scenario(ref: str) -> Scenario:
 
 
 def _dump_lps(report: RunReport, directory: str) -> None:
-    from . import lp as lpmod
-
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     for mode_report in report.modes:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clearing import ClearingResult
+from .clearing import ClearingResult, dispatch_welfare
 from .model import IntervalSpec
 
 #: slack allowed before a surplus counts as negative / content counts as held
@@ -154,19 +154,8 @@ def social_welfare(results: list[ClearingResult], bids: list[IntervalSpec],
     start, end = cycle
     if not (1 <= start <= end <= len(results)):
         raise ValueError(f"cycle {cycle} out of range for {len(results)} intervals")
-    total = 0.0
-    for i in range(start, end + 1):
-        result, interval = results[i - 1], bids[i - 1]
-        dt = result.delta_t
-        for ld in interval.loads:
-            d = result.load(ld.id)
-            total += dt * sum(ld.utility[t] * d[t]
-                              for t in range(result.n_periods))
-        for g in interval.generators:
-            p = result.gen(g.id)
-            total -= dt * sum(g.cost[t] * p[t]
-                              for t in range(result.n_periods))
-    return total
+    return sum(dispatch_welfare(results[i - 1], bids[i - 1])
+               for i in range(start, end + 1))
 
 
 def cost_recovery_audit(results: list[ClearingResult],

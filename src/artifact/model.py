@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace  # noqa: F401  (replace is part of the public convenience surface)
+from dataclasses import dataclass, field
 
 from .errors import ScenarioError
 

@@ -61,25 +61,16 @@ def run_scenario(scenario: Scenario,
         return ScenarioRun(scenario=scenario,
                            results=tuple(clearing.slice_ideal(full, intervals)),
                            full_result=full)
-    if scenario.mode == "split_end_level":
+    if scenario.mode in ("split_end_level", "split_penalty"):
+        clear = (clearing.clear_split if scenario.mode == "split_end_level"
+                 else clearing.clear_split_penalty)
         results = []
         content = storage.initial_energy
         for i, interval in enumerate(intervals):
             with _interval(i + 1):
-                res = clearing.clear_split(interval, storage, content,
-                                           compute_ranges=compute_ranges,
-                                           name=f"split_end_level[{i + 1}]")
-            results.append(res)
-            content = res.final_content
-        return ScenarioRun(scenario=scenario, results=tuple(results))
-    if scenario.mode == "split_penalty":
-        results = []
-        content = storage.initial_energy
-        for i, interval in enumerate(intervals):
-            with _interval(i + 1):
-                res = clearing.clear_split_penalty(
-                    interval, storage, content, compute_ranges=compute_ranges,
-                    name=f"split_penalty[{i + 1}]")
+                res = clear(interval, storage, content,
+                            compute_ranges=compute_ranges,
+                            name=f"{scenario.mode}[{i + 1}]")
             results.append(res)
             content = res.final_content
         return ScenarioRun(scenario=scenario, results=tuple(results))

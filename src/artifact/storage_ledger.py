@@ -13,12 +13,15 @@ All energies are MWh, powers MW, prices EUR/MWh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from . import lp as lpmod
-from .clearing import ClearingResult, replace_result
 from .errors import LpNumericalError, SimultaneityError, ValuationError
 from .model import MODEL_EPS, ValueBucket, ValueLedger
+
+if TYPE_CHECKING:
+    from .clearing import ClearingResult
 
 _EPS = 1e-9
 
@@ -95,7 +98,7 @@ def remove_simultaneous(result: ClearingResult) -> ClearingResult:
     def _clean(x: float) -> float:
         return 0.0 if abs(x) < _EPS else float(x)
 
-    return replace_result(
+    return replace(
         result,
         intra_charge=tuple(_clean(x) for x in charge),
         intra_level=tuple(_clean(x) for x in ea),

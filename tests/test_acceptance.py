@@ -20,7 +20,6 @@ from artifact.clearing import (
     clear_split,
     clear_vlb,
     dispatch_welfare,
-    replace_result,
 )
 from artifact.errors import InfeasibleError
 from artifact.lp import check_certificates
@@ -264,8 +263,8 @@ class TestOverlapRemovalProperties:
             raw_rows = tuple(
                 tuple(primal[f"pD[{v + 1},{t + 1}]"] for t in range(T))
                 for v in range(len(res.bucket_prices)))
-            raw = replace_result(res, intra_charge=raw_charge,
-                                 inter_discharge=raw_rows)
+            raw = replace(res, intra_charge=raw_charge,
+                          inter_discharge=raw_rows)
 
             out = remove_simultaneous(raw)
 

@@ -7,8 +7,13 @@ degenerate price ranges at dispatch ties).
 
 from __future__ import annotations
 
+from dataclasses import replace
+from importlib import resources
+
+import numpy as np
 import pytest
 
+from artifact.cli import FIXTURE_NAMES
 from artifact.clearing import (
     clear_ideal,
     clear_split,
@@ -18,6 +23,7 @@ from artifact.clearing import (
     slice_ideal,
 )
 from artifact.errors import InfeasibleError, ScenarioError
+from artifact.lp import write_lp_text
 from artifact.model import (
     IntervalSpec,
     Scenario,
@@ -25,11 +31,13 @@ from artifact.model import (
     TimeGrid,
     ValueBucket,
     ValueLedger,
+    parse_scenario,
 )
 from artifact.runner import run_scenario
 from helpers import (
     STORAGE,
     interval,
+    random_interval,
     table1_scenario,
     table4_scenario,
     table5_scenario,
@@ -362,3 +370,97 @@ class TestWelfareIdentity:
         paid = sum(b.price * q for b, q in
                    zip(ledger.buckets, res.total_inter_discharge))
         assert res.objective == approx(welfare - paid)
+
+
+def _fixture_chain_cases():
+    """(interval, storage) for every interval of every bundled fixture; the
+    storage starts with the content the split_end_level chain reaches
+    before that interval."""
+    cases = []
+    for name in FIXTURE_NAMES:
+        text = (resources.files("artifact") / "fixtures"
+                / f"{name}.json").read_text()
+        scn = replace(parse_scenario(text), mode="split_end_level")
+        run = run_scenario(scn, compute_ranges=False)
+        for iv, res in zip(scn.intervals, run.results):
+            cases.append((iv, StorageSpec(scn.storage.capacity,
+                                          res.initial_content)))
+    return cases
+
+
+def _random_chain_cases(seed: int, count: int):
+    """(interval, storage) of seeded ``random_interval`` draws with a random
+    initial content; some end levels are out of reach."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        capacity = float(rng.uniform(0.5, 3.0))
+        storage = StorageSpec(capacity, float(rng.uniform(0.0, capacity)))
+        cases.append((random_interval(rng, capacity, penalty=True), storage))
+    return cases
+
+
+def _chain_cases(source: str):
+    """The cases, and how many of them must clear: every fixture interval,
+    and 30 of the 40 random draws."""
+    if source == "fixtures":
+        cases = _fixture_chain_cases()
+        return cases, len(cases)
+    return _random_chain_cases(20261018, 40), 30
+
+
+def _rows(prog):
+    """Rows with their coefficients in insertion order."""
+    return [(label, list(coeffs.items()), op, rhs)
+            for label, coeffs, op, rhs in prog._rows]
+
+
+class TestStorageChainRelations:
+    """The three storage-chain clearings are one LP: they differ only in the
+    periods the chain spans and in how its last level is closed."""
+
+    @pytest.mark.parametrize("source", ["fixtures", "random_interval"])
+    def test_one_interval_ideal_is_split_end_level(self, source):
+        cases, must_clear = _chain_cases(source)
+        cleared = 0
+        for iv, storage in cases:
+            try:
+                split = clear_split(iv, storage, storage.initial_energy)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    clear_ideal(storage, (iv,))
+                continue
+            ideal = clear_ideal(storage, (iv,))
+            # the first line of the text names the LP
+            assert (write_lp_text(ideal.lp).split("\n")[1:]
+                    == write_lp_text(split.lp).split("\n")[1:])
+            assert replace(ideal, mode="split_end_level") == split
+            cleared += 1
+        assert cleared >= must_clear
+
+    @pytest.mark.parametrize("source", ["fixtures", "random_interval"])
+    def test_penalty_lp_is_split_lp_with_priced_last_level(self, source):
+        cases, must_clear = _chain_cases(source)
+        cleared = 0
+        for iv, storage in cases:
+            if iv.penalty_price is None:
+                iv = replace(iv, penalty_price=4.0)
+            try:
+                split = clear_split(iv, storage, storage.initial_energy,
+                                    compute_ranges=False).lp
+            except InfeasibleError:
+                continue
+            pen = clear_split_penalty(iv, storage, storage.initial_energy,
+                                      compute_ranges=False).lp
+            names = split.variable_names
+            assert pen.variable_names == names
+            assert [pen.bounds(n) for n in names] == [split.bounds(n)
+                                                      for n in names]
+            objective = {n: split.objective_coefficient(n) for n in names}
+            objective[f"e[{iv.grid.n_periods}]"] -= iv.penalty_price
+            assert {n: pen.objective_coefficient(n)
+                    for n in names} == objective
+            assert _rows(split)[-1][0] == "end_level"
+            assert _rows(pen) == _rows(split)[:-1]
+            cleared += 1
+        assert cleared >= must_clear

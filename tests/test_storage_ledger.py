@@ -8,9 +8,11 @@ break-even LP.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from artifact.clearing import ClearingResult, clear_vlb, replace_result
+from artifact.clearing import ClearingResult, clear_vlb
 from artifact.errors import LpNumericalError, SimultaneityError, ValuationError
 from artifact.model import StorageSpec, ValueBucket, ValueLedger
 from artifact.runner import run_scenario
@@ -109,7 +111,7 @@ class TestRemoveSimultaneous:
             remove_simultaneous(res)
 
     def test_non_vlb_rejected(self):
-        res = replace_result(vlb_result((1.0,), (5.0,)), mode="ideal")
+        res = replace(vlb_result((1.0,), (5.0,)), mode="ideal")
         with pytest.raises(ValueError, match="vlb"):
             remove_simultaneous(res)
 
@@ -203,7 +205,7 @@ class TestUpdateLedger:
             assert after.total == approx(res.final_content)
 
     def test_drifted_total_raises(self):
-        res = replace_result(vlb_result((1.0,), (5.0,)), final_content=5.0)
+        res = replace(vlb_result((1.0,), (5.0,)), final_content=5.0)
         with pytest.raises(LpNumericalError, match="drifted"):
             update_ledger(ValueLedger(), res, 1)
 
