@@ -18,29 +18,48 @@ Conventions
 * Reported duals are oriented for the problem as stated: for a ``max``
   problem a binding ``<=`` row has a nonnegative dual.
 * ``EPS`` (1e-7) is the feasibility/certificate tolerance; pivoting uses a
-  tighter internal tolerance.
+  tighter internal tolerance. ``_REFACTOR`` (32) is the number of basis
+  changes between fresh factorizations of the basis.
+
+The simplex keeps the LU factorization of its basis across pivots in
+product form: each basis change appends an eta (the leaving row and the
+entering column's FTRAN), solves apply the etas around the LU, and the
+basis is factored afresh every ``_REFACTOR`` changes. Pricing and the
+ratio test may use the updated factor, but every verdict (optimal,
+unbounded) is reached again at a fresh factorization, so reported duals
+always come from a fresh LU of the final basis. The pivot path is the one a
+solve that refactors at every pivot takes: Bland's rule for the entering
+column and the ``_RATIO_TIE`` rule for the leaving one. Basic values are
+updated along the path and never recomputed; the certificate check guards
+against drift. ``LpSolution.stats`` counts what a solve did.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import ArrayLike
 from scipy.linalg import lu, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrs
 
 from .errors import LpNumericalError
 
 EPS = 1e-7
 _PIVOT_EPS = 1e-9
 _RATIO_TIE = 1e-12
+_REFACTOR = 32
 
 _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+CRASHED = "crashed"
+FEASIBLE_START = "feasible start"
+PHASE_1 = "phase 1"
 
 _OPS = ("<=", "==", ">=")
 
@@ -134,16 +153,60 @@ class CertificateReport:
                 and self.duality_gap <= self.tolerance)
 
 
+@dataclass
+class PhaseStats:
+    """Counts from one simplex phase."""
+
+    pivots: int = 0
+    bound_flips: int = 0
+    # fresh LU factorizations of the basis: the first, the refreshes every
+    # _REFACTOR basis changes, and the confirmations
+    factorizations: int = 0
+    # verdicts reached on an updated factor and taken again at a fresh one
+    confirmations: int = 0
+    # pricings where a movable nonbasic |rc| lies within 10x of _PIVOT_EPS
+    near_tie_pricings: int = 0
+    # ratio tests whose winner was settled by the _RATIO_TIE rule
+    ratio_ties: int = 0
+
+
+@dataclass(frozen=True)
+class SolveStats:
+    """What one solve did. ``start`` is ``CRASHED``, ``FEASIBLE_START`` or
+    ``PHASE_1``; ``phase_1`` is None unless phase 1 ran and ``phase_2`` is
+    None when phase 1 proved the LP infeasible. ``drive_outs`` counts the
+    basis factorizations made driving artificial columns out after phase
+    1."""
+
+    start: str
+    phase_1: PhaseStats | None
+    phase_2: PhaseStats | None
+    drive_outs: int = 0
+
+    @property
+    def factorizations(self) -> int:
+        return self.drive_outs + sum(p.factorizations for p in self._phases())
+
+    @property
+    def pivots(self) -> int:
+        return sum(p.pivots for p in self._phases())
+
+    def _phases(self) -> list[PhaseStats]:
+        return [p for p in (self.phase_1, self.phase_2) if p is not None]
+
+
 @dataclass(frozen=True)
 class LpSolution:
     """Result of one solve: status, objective in the stated sense, primal
-    values by variable name, duals by constraint label."""
+    values by variable name, duals by constraint label. ``stats`` is
+    telemetry: it takes no part in equality and is never reported."""
 
     status: str
     objective: float
     primal: dict[str, float]
     duals: dict[str, float]
     certificate: CertificateReport | None = None
+    stats: SolveStats | None = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -212,76 +275,138 @@ def _factor(A: np.ndarray, basis: np.ndarray):
     return lu, piv
 
 
+def _getrs(lu, b: np.ndarray, trans: int) -> np.ndarray:
+    """``lu_solve(lu, b, trans)`` without its argument handling: the same
+    LAPACK call, so the same bits."""
+    x, info = dgetrs(lu[0], lu[1], b, trans=trans)
+    if info:
+        raise LpNumericalError(f"dgetrs rejected argument {-info}")
+    return x
+
+
+def _ftran(lu, etas: list[tuple[int, np.ndarray]], a: np.ndarray) -> np.ndarray:
+    """``B^-1 a`` for the basis ``B = B0 E1 ... Ek``: solve with the LU of
+    ``B0``, then apply each eta's inverse in order."""
+    z = _getrs(lu, a, 0)
+    for r, w in etas:
+        zr = z[r] / w[r]
+        z -= zr * w
+        z[r] = zr
+    return z
+
+
+def _btran(lu, etas: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
+    """``B^-T v`` for the basis ``B = B0 E1 ... Ek``: apply each eta's
+    transposed inverse in reverse order, then solve with the transposed LU
+    of ``B0``. Overwrites ``v``."""
+    for r, w in reversed(etas):
+        vr = v[r]
+        v[r] = 0.0
+        v[r] = (vr - w @ v) / w[r]
+    return _getrs(lu, v, 1)
+
+
+def _entering(rc: np.ndarray, state: np.ndarray, fixed: np.ndarray
+              ) -> tuple[int, float, bool]:
+    """Bland's rule: the lowest-index movable nonbasic column whose reduced
+    cost improves the objective, and its direction (+1 up, -1 down); -1 at
+    optimality. Also tells whether a movable column's ``|rc|`` lies within
+    10x of ``_PIVOT_EPS``, where rounding could change the choice."""
+    movable = (state != _BASIC) & ~fixed
+    eligible = movable & (((state == _AT_LOWER) & (rc < -_PIVOT_EPS))
+                          | ((state == _AT_UPPER) & (rc > _PIVOT_EPS))
+                          | ((state == _FREE) & (np.abs(rc) > _PIVOT_EPS)))
+    size = np.abs(rc[movable])
+    near_tie = bool(np.any((size >= 0.1 * _PIVOT_EPS)
+                           & (size <= 10.0 * _PIVOT_EPS)))
+    first = np.flatnonzero(eligible)
+    if not first.size:
+        return -1, 0.0, near_tie
+    q = int(first[0])
+    if state[q] == _AT_LOWER:
+        return q, 1.0, near_tie
+    if state[q] == _AT_UPPER:
+        return q, -1.0, near_tie
+    return q, (1.0 if rc[q] < 0 else -1.0), near_tie
+
+
+def _leaving(w: np.ndarray, sigma: float, x: np.ndarray, lb: np.ndarray,
+             ub: np.ndarray, basis: np.ndarray, t_best: float
+             ) -> tuple[float, int, bool]:
+    """Ratio test of a step of the entering column in direction ``sigma``
+    against its own bound flip at distance ``t_best``. Returns (step, row of
+    the first blocking basic column or -1 for the flip, whether the winner
+    was settled by the ``_RATIO_TIE`` rule).
+
+    Rows block in row order: a ratio more than ``_RATIO_TIE`` below the
+    best so far wins, and one within ``_RATIO_TIE`` of it wins when its
+    basic column has the lower index."""
+    sw = sigma * w
+    up = (sw > _PIVOT_EPS) & (lb[basis] != -math.inf)
+    down = (sw < -_PIVOT_EPS) & (ub[basis] != math.inf)
+    rows = np.flatnonzero(up | down)
+    cols, swr = basis[rows], sw[rows]
+    tk = np.where(up[rows], (x[cols] - lb[cols]) / swr,
+                  (ub[cols] - x[cols]) / -swr)
+    tk = np.where(tk < 0.0, 0.0, tk)
+    r_best, j_best, tied = -1, -1, False
+    for k, tkk, jk in zip(rows.tolist(), tk.tolist(), cols.tolist()):
+        if tkk < t_best - _RATIO_TIE:
+            t_best, r_best, j_best, tied = tkk, k, jk, False
+        elif tkk <= t_best + _RATIO_TIE and (r_best == -1 or jk < j_best):
+            t_best, r_best, j_best, tied = min(t_best, tkk), k, jk, True
+    return t_best, r_best, tied
+
+
 def _run_phase(std: _Standard, A: np.ndarray, c: np.ndarray, lb: np.ndarray,
                ub: np.ndarray, x: np.ndarray, state: np.ndarray,
-               basis: np.ndarray, max_iter: int) -> tuple[str, np.ndarray]:
-    """Iterate to optimality for cost vector c. Returns (status, duals)."""
+               basis: np.ndarray, max_iter: int
+               ) -> tuple[str, np.ndarray, PhaseStats]:
+    """Iterate to optimality for cost vector c. Returns (status, duals,
+    counts).
+
+    The basis is factored once and its LU kept across pivots: each basis
+    change appends an eta ``(r, w)``, the leaving row and the entering
+    column's FTRAN, and the basis is factored afresh after ``_REFACTOR``
+    changes. A verdict reached on an updated factor is taken again at a
+    fresh one, so the duals returned always come from a fresh factor of the
+    final basis.
+    """
     m = len(basis)
-    total = A.shape[1]
-    iters = 0
+    fixed = lb == ub
+    stats = PhaseStats()
+    lu, etas = None, []
     while True:
-        iters += 1
-        if iters > max_iter:
+        if stats.pivots + stats.bound_flips >= max_iter:
             raise LpNumericalError(
                 f"simplex exceeded {max_iter} iterations (possible cycling)")
-        if m:
-            lu = _factor(A, basis)
-            y = lu_solve(lu, c[basis], trans=1, check_finite=False)
-        else:
-            y = np.zeros(0)
+        if m and (lu is None or len(etas) >= _REFACTOR):
+            lu, etas = _factor(A, basis), []
+            stats.factorizations += 1
+        y = _btran(lu, etas, c[basis]) if m else np.zeros(0)
         rc = c - A.T @ y if m else c.copy()
-        # entering variable: Bland's rule, lowest eligible index
-        q = -1
-        sigma = 0.0
-        for j in range(total):
-            if state[j] == _BASIC or lb[j] == ub[j]:
+        q, sigma, near_tie = _entering(rc, state, fixed)
+        stats.near_tie_pricings += near_tie
+        if q >= 0:
+            w = _ftran(lu, etas, A[:, q]) if m else np.zeros(0)
+            flip = (ub[q] - lb[q] if lb[q] > -math.inf and ub[q] < math.inf
+                    else math.inf)
+            t_best, r_best, tied = _leaving(w, sigma, x, lb, ub, basis, flip)
+        if q < 0 or not math.isfinite(t_best):
+            if etas:
+                # confirm the verdict at a fresh factorization
+                lu = None
+                stats.confirmations += 1
                 continue
-            r = rc[j]
-            if state[j] == _AT_LOWER and r < -_PIVOT_EPS:
-                q, sigma = j, 1.0
-                break
-            if state[j] == _AT_UPPER and r > _PIVOT_EPS:
-                q, sigma = j, -1.0
-                break
-            if state[j] == _FREE and abs(r) > _PIVOT_EPS:
-                q, sigma = j, (1.0 if r < 0 else -1.0)
-                break
-        if q < 0:
-            return OPTIMAL, y
-        w = lu_solve(lu, A[:, q], check_finite=False) if m else np.zeros(0)
-        # ratio test: own bound flip vs first blocking basic column
-        if lb[q] > -math.inf and ub[q] < math.inf:
-            t_best = ub[q] - lb[q]
-        else:
-            t_best = math.inf
-        r_best = -1
-        for k in range(m):
-            wk = sigma * w[k]
-            jk = basis[k]
-            if wk > _PIVOT_EPS:
-                if lb[jk] == -math.inf:
-                    continue
-                tk = (x[jk] - lb[jk]) / wk
-            elif wk < -_PIVOT_EPS:
-                if ub[jk] == math.inf:
-                    continue
-                tk = (ub[jk] - x[jk]) / (-wk)
-            else:
-                continue
-            if tk < 0.0:
-                tk = 0.0
-            if tk < t_best - _RATIO_TIE:
-                t_best, r_best = tk, k
-            elif tk <= t_best + _RATIO_TIE and (r_best == -1 or jk < basis[r_best]):
-                t_best, r_best = min(t_best, tk), k
-        if not math.isfinite(t_best):
-            return UNBOUNDED, y
+            return (OPTIMAL if q < 0 else UNBOUNDED), y, stats
+        stats.ratio_ties += tied
         # apply the step
         if m:
             x[basis] -= sigma * t_best * w
         x[q] += sigma * t_best
         if r_best == -1:
             # entering column travels to its opposite bound; basis unchanged
+            stats.bound_flips += 1
             if sigma > 0:
                 x[q] = ub[q]
                 state[q] = _AT_UPPER
@@ -289,6 +414,7 @@ def _run_phase(std: _Standard, A: np.ndarray, c: np.ndarray, lb: np.ndarray,
                 x[q] = lb[q]
                 state[q] = _AT_LOWER
         else:
+            stats.pivots += 1
             leave = basis[r_best]
             if sigma * w[r_best] > 0:
                 x[leave] = lb[leave]
@@ -298,6 +424,7 @@ def _run_phase(std: _Standard, A: np.ndarray, c: np.ndarray, lb: np.ndarray,
                 state[leave] = _AT_UPPER
             basis[r_best] = q
             state[q] = _BASIC
+            etas.append((r_best, w))
 
 
 def _feasible_start_basis(std: _Standard, x: np.ndarray,
@@ -440,10 +567,11 @@ def _crash_basis(std: _Standard, start: np.ndarray
 
 
 def _solve_reference(std: _Standard, start: np.ndarray | None = None
-                     ) -> tuple[str, np.ndarray, np.ndarray]:
+                     ) -> tuple[str, np.ndarray, np.ndarray, SolveStats]:
     """Bounded simplex. Phase 2 starts at once from a basis crashed at
     ``start`` when that is a feasible vertex, and otherwise from a feasible
-    nonbasic start or after phase 1. Returns (status, x, internal duals)."""
+    nonbasic start or after phase 1. Returns (status, x, internal duals,
+    counts)."""
     total = std.n + std.m
     m = std.m
     max_iter = 50 * (total + m)
@@ -451,22 +579,22 @@ def _solve_reference(std: _Standard, start: np.ndarray | None = None
         crashed = _crash_basis(std, start)
         if crashed is not None:
             x, state, basis = crashed
-            status, y = _run_phase(std, std.A, std.c, std.lb, std.ub, x,
-                                   state, basis, max_iter)
-            return status, x[:std.n], y
+            status, y, phase = _run_phase(std, std.A, std.c, std.lb, std.ub,
+                                          x, state, basis, max_iter)
+            return status, x[:std.n], y, SolveStats(CRASHED, None, phase)
     x, state = _initial_point(std)
     if m == 0:
         basis = np.zeros(0, dtype=int)
-        status, y = _run_phase(std, std.A, std.c, std.lb, std.ub, x, state,
-                               basis, max_iter)
-        return status, x[:std.n], y
+        status, y, phase = _run_phase(std, std.A, std.c, std.lb, std.ub, x,
+                                      state, basis, max_iter)
+        return status, x[:std.n], y, SolveStats(FEASIBLE_START, None, phase)
     x2, state2 = x.copy(), state.copy()
     basis0 = _feasible_start_basis(std, x2, state2)
     if basis0 is not None:
         # the start already satisfies every row: no phase 1 needed
-        status, y = _run_phase(std, std.A, std.c, std.lb, std.ub, x2, state2,
-                               basis0, max_iter)
-        return status, x2[:std.n], y
+        status, y, phase = _run_phase(std, std.A, std.c, std.lb, std.ub, x2,
+                                      state2, basis0, max_iter)
+        return status, x2[:std.n], y, SolveStats(FEASIBLE_START, None, phase)
     residual = std.b - std.A @ x
     art_sign = np.where(residual >= 0, 1.0, -1.0)
     A1 = np.hstack([std.A, np.diag(art_sign)])
@@ -476,19 +604,25 @@ def _solve_reference(std: _Standard, start: np.ndarray | None = None
     state1 = np.concatenate([state, np.full(m, _BASIC, dtype=np.int8)])
     basis = np.arange(total, total + m)
     c1 = np.concatenate([np.zeros(total), np.ones(m)])
-    status, _y = _run_phase(std, A1, c1, lb1, ub1, x1, state1, basis, max_iter)
+    status, _y, phase_1 = _run_phase(std, A1, c1, lb1, ub1, x1, state1, basis,
+                                     max_iter)
     if status != OPTIMAL:
         raise LpNumericalError("phase 1 terminated abnormally")
     scale = max(1.0, float(np.max(np.abs(std.b))) if m else 1.0)
     if float(x1[total:].sum()) > EPS * scale:
-        return INFEASIBLE, x1[:std.n], np.zeros(m)
+        return (INFEASIBLE, x1[:std.n], np.zeros(m),
+                SolveStats(PHASE_1, phase_1, None))
+    # one factorization per artificial still basic
+    drive_outs = int(np.count_nonzero(basis >= total))
     _drive_out_artificials(A1, lb1, ub1, state1, basis, total)
     # artificials are pinned at zero and priced out for phase 2
     lb1[total:] = 0.0
     ub1[total:] = 0.0
     c2 = np.concatenate([std.c, np.zeros(m)])
-    status, y = _run_phase(std, A1, c2, lb1, ub1, x1, state1, basis, max_iter)
-    return status, x1[:std.n], y
+    status, y, phase_2 = _run_phase(std, A1, c2, lb1, ub1, x1, state1, basis,
+                                    max_iter)
+    return (status, x1[:std.n], y,
+            SolveStats(PHASE_1, phase_1, phase_2, drive_outs))
 
 
 def check_certificates(lp: LinearProgram, solution: LpSolution,
@@ -556,9 +690,10 @@ def solve(lp: LinearProgram, start: ArrayLike | None = None) -> LpSolution:
         if start.shape != (std.n,):
             raise ValueError(f"start has shape {start.shape}, expected "
                              f"({std.n},)")
-    status, x, y = _solve_reference(std, start)
+    status, x, y, stats = _solve_reference(std, start)
     if status != OPTIMAL:
-        return LpSolution(status=status, objective=math.nan, primal={}, duals={})
+        return LpSolution(status=status, objective=math.nan, primal={},
+                          duals={}, stats=stats)
     primal = {name: float(x[j]) for j, name in enumerate(lp.variable_names)}
     duals = {label: float(std.sign * y[i])
              for i, label in enumerate(lp.constraint_labels)}
@@ -568,7 +703,7 @@ def solve(lp: LinearProgram, start: ArrayLike | None = None) -> LpSolution:
         raise LpNumericalError(
             f"optimality certificates failed for {lp.name!r}: {report}")
     return LpSolution(status=OPTIMAL, objective=objective, primal=primal,
-                      duals=duals, certificate=report)
+                      duals=duals, certificate=report, stats=stats)
 
 
 def dual_range(lp: LinearProgram, solution: LpSolution,

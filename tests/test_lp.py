@@ -13,7 +13,7 @@ import scipy.optimize
 
 from artifact import lp as lpmod
 from artifact.cli import FIXTURE_NAMES
-from artifact.clearing import clear_split
+from artifact.clearing import clear_ideal, clear_split
 from artifact.errors import LpNumericalError, ScenarioError
 from artifact.model import StorageSpec, parse_scenario
 from artifact.runner import run_scenario
@@ -349,7 +349,12 @@ def _solve_reference_oracle(data: dict):
 
 
 class TestAgainstIndependentSolver:
-    def test_random_lps_match_highs(self):
+    # a refresh interval of 2 runs the eta file on almost every tiny LP
+    @pytest.mark.parametrize("refactor", [None, 2],
+                             ids=["default", "refactor_2"])
+    def test_random_lps_match_highs(self, monkeypatch, refactor):
+        if refactor is not None:
+            monkeypatch.setattr(lpmod, "_REFACTOR", refactor)
         rng = np.random.default_rng(7)
         optimal = 0
         for _ in range(200):
@@ -610,3 +615,243 @@ class TestDualRangeAgainstIndependentSolver:
         for prog, sol in clearings:
             for label in _balance_labels(prog):
                 self._assert_matches(prog, sol, label)
+
+
+def _entering_by_loop(rc, state, lb, ub):
+    """Bland's rule column by column: the reference for ``_entering``."""
+    for j in range(len(rc)):
+        if state[j] == lpmod._BASIC or lb[j] == ub[j]:
+            continue
+        r = rc[j]
+        if state[j] == lpmod._AT_LOWER and r < -lpmod._PIVOT_EPS:
+            return j, 1.0
+        if state[j] == lpmod._AT_UPPER and r > lpmod._PIVOT_EPS:
+            return j, -1.0
+        if state[j] == lpmod._FREE and abs(r) > lpmod._PIVOT_EPS:
+            return j, (1.0 if r < 0 else -1.0)
+    return -1, 0.0
+
+
+def _leaving_by_loop(w, sigma, x, lb, ub, basis, t_best):
+    """The ratio test row by row: the reference for ``_leaving``."""
+    eps, tie = lpmod._PIVOT_EPS, lpmod._RATIO_TIE
+    r_best = -1
+    for k in range(len(basis)):
+        wk = sigma * w[k]
+        jk = basis[k]
+        if wk > eps:
+            if lb[jk] == -math.inf:
+                continue
+            tk = (x[jk] - lb[jk]) / wk
+        elif wk < -eps:
+            if ub[jk] == math.inf:
+                continue
+            tk = (ub[jk] - x[jk]) / (-wk)
+        else:
+            continue
+        if tk < 0.0:
+            tk = 0.0
+        if tk < t_best - tie:
+            t_best, r_best = tk, k
+        elif tk <= t_best + tie and (r_best == -1 or jk < basis[r_best]):
+            t_best, r_best = min(t_best, tk), k
+    return t_best, r_best
+
+
+class TestPricingAndRatioTestAgainstLoop:
+    """The vectorized Bland pricing and ratio test make the decisions of
+    the column-by-column loops, on inputs crowded with near ties."""
+
+    def test_entering_matches_the_loop(self):
+        rng = np.random.default_rng(31)
+        eps = lpmod._PIVOT_EPS
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            state = rng.integers(0, 4, n).astype(np.int8)
+            lb = rng.choice([-math.inf, 0.0, 1.0], n)
+            ub = np.where(rng.random(n) < 0.2, lb, math.inf)
+            rc = rng.choice([0.0, eps, -eps, 2 * eps, -2 * eps, 0.5 * eps,
+                             1.0, -1.0, -0.0], n)
+            got = lpmod._entering(rc, state, lb == ub)
+            assert got[:2] == _entering_by_loop(rc, state, lb, ub)
+
+    def test_leaving_matches_the_loop(self):
+        rng = np.random.default_rng(32)
+        tie = lpmod._RATIO_TIE
+        for trial in range(4000):
+            m = int(rng.integers(1, 30))
+            total = m + int(rng.integers(0, 10))
+            basis = rng.permutation(total)[:m]
+            scale = 10.0 ** int(rng.integers(-3, 7))
+            lb = np.where(rng.random(total) < 0.2, -math.inf,
+                          rng.choice([0.0, -scale], total))
+            ub = np.where(rng.random(total) < 0.3, math.inf,
+                          np.where(np.isfinite(lb), lb, 0.0)
+                          + scale * rng.choice([1.0, 2.0, 3.0], total))
+            # basic values on a few levels, nudged by fractions of a tie
+            x = np.where(np.isfinite(lb), lb, 0.0) + scale * rng.choice(
+                [0.0, 0.5, 1.0], total) + tie * rng.choice(
+                [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, -0.5], total)
+            w = rng.choice([0.0, 1.0, -1.0, 2.0, -0.5, 1e-10, 1.0 + 1e-15], m)
+            sigma = float(rng.choice([1.0, -1.0]))
+            flip = float(rng.choice([math.inf, 0.5 * scale, scale,
+                                     scale + tie, scale + 3 * tie]))
+            got = lpmod._leaving(w, sigma, x, lb, ub, basis, flip)
+            want = _leaving_by_loop(w, sigma, x, lb, ub, basis, flip)
+            assert got[:2] == want, trial
+
+
+def _dense_random_lp(rng: np.random.Generator) -> lpmod.LinearProgram:
+    """A dense LP with 30 to 90 rows, mixed row senses and bounds, whose
+    rows hold at a random point inside the bounds."""
+    m = int(rng.integers(30, 91))
+    n = int(rng.integers(m // 2, 2 * m))
+    prog = lpmod.LinearProgram(name="dense", sense=str(rng.choice(["max",
+                                                                   "min"])))
+    point = []
+    for j in range(n):
+        lo = float(rng.choice([0.0, -1.0, -math.inf]))
+        hi = float(rng.choice([1.0, 3.0, math.inf]))
+        prog.add_variable(f"x{j}", lo, hi,
+                          objective=round(float(rng.uniform(-5, 5)), 2))
+        point.append(float(np.clip(rng.uniform(-1, 1), lo, hi)))
+    for i in range(m):
+        coeffs = {f"x{j}": round(float(rng.uniform(-3, 3)), 2)
+                  for j in range(n) if rng.random() < 0.7}
+        if not coeffs:
+            coeffs = {"x0": 1.0}
+        act = sum(c * point[int(v[1:])] for v, c in coeffs.items())
+        op = str(rng.choice(["<=", ">=", "=="]))
+        room = {"<=": 1.0, ">=": -1.0, "==": 0.0}[op]
+        prog.add_constraint(f"r{i}", coeffs, op, act + room * float(rng.random()))
+    return prog
+
+
+class TestFactorUpdates:
+    """The updated factor takes the path of refactoring at every pivot
+    (``_REFACTOR`` = 1, the reference): the same statuses, pivot counts and
+    final bases, bitwise-equal duals, and objective and primal values
+    within 1e-9."""
+
+    @staticmethod
+    def _solve(monkeypatch, prog, refactor, start=None):
+        """The solution and the final basis of each phase."""
+        bases = []
+        run_phase = lpmod._run_phase
+
+        def spy(std, A, c, lb, ub, x, state, basis, max_iter):
+            out = run_phase(std, A, c, lb, ub, x, state, basis, max_iter)
+            bases.append(basis.tolist())
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lpmod, "_REFACTOR", refactor)
+            patch.setattr(lpmod, "_run_phase", spy)
+            return lpmod.solve(prog, start=start), bases
+
+    @classmethod
+    def _assert_same_path(cls, monkeypatch, prog, start=None):
+        ref, ref_bases = cls._solve(monkeypatch, prog, 1, start)
+        got, got_bases = cls._solve(monkeypatch, prog, lpmod._REFACTOR, start)
+        assert got.status == ref.status, prog.name
+        assert got_bases == ref_bases, prog.name
+        assert got.stats.start == ref.stats.start
+        for phase in ("phase_1", "phase_2"):
+            a, b = getattr(got.stats, phase), getattr(ref.stats, phase)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert (a.pivots, a.bound_flips) == (b.pivots, b.bound_flips)
+        if ref.status == lpmod.OPTIMAL:
+            assert ([v.hex() for v in got.duals.values()]
+                    == [v.hex() for v in ref.duals.values()]), prog.name
+            assert got.objective == pytest.approx(ref.objective, abs=1e-9)
+            assert got.primal == pytest.approx(ref.primal, abs=1e-9)
+        return got
+
+    def test_fixtures_in_every_mode(self, monkeypatch):
+        clearings = _fixture_clearings()
+        assert len(clearings) >= 20
+        for prog, sol in clearings:
+            self._assert_same_path(monkeypatch, prog)
+            # the face solves start crashed at the published dual
+            for label in _balance_labels(prog):
+                face, sgn = lpmod._dual_face(prog, sol, label)
+                start = [sgn * sol.duals[lab] for lab in prog.constraint_labels]
+                for sense in ("min", "max"):
+                    face.sense = sense
+                    self._assert_same_path(monkeypatch, face, start)
+
+    def test_random_interval_horizons(self, monkeypatch):
+        rng = np.random.default_rng(20261020)
+        refresh = lpmod._REFACTOR
+        for _ in range(20):
+            capacity = float(rng.uniform(0.5, 3.0))
+            intervals = tuple(
+                random_interval(rng, capacity, n_periods=24, delta_t=1.0,
+                                end_level=float(rng.uniform(0.1, 0.5))
+                                * capacity)
+                for _ in range(2))
+            prog = clear_ideal(StorageSpec(capacity, 0.0), intervals,
+                               compute_ranges=False).lp
+            got = self._assert_same_path(monkeypatch, prog)
+            # both phases pass the refresh interval
+            assert got.stats.phase_1.pivots > refresh
+            assert got.stats.phase_2.pivots > refresh
+
+    def test_dense_random_lps(self, monkeypatch):
+        rng = np.random.default_rng(20261021)
+        optimal = 0
+        for _ in range(20):
+            sol = self._assert_same_path(monkeypatch, _dense_random_lp(rng))
+            optimal += sol.status == lpmod.OPTIMAL
+        assert optimal >= 10
+
+    def test_week_solve_refactors_once_per_refresh(self):
+        rng = np.random.default_rng(20261022)
+        capacity = 2.0
+        intervals = tuple(random_interval(rng, capacity, n_periods=24,
+                                          delta_t=1.0, end_level=1.0)
+                          for _ in range(7))
+        res = clear_ideal(StorageSpec(capacity, 0.0), intervals,
+                          compute_ranges=False)
+        stats = res.lp_solution.stats
+        assert stats.start == lpmod.PHASE_1
+        phases = [stats.phase_1, stats.phase_2]
+        # one factorization to start each phase, one per _REFACTOR pivots
+        # after it, one per verdict confirmed, one per drive-out
+        assert stats.factorizations == sum(
+            1 + p.pivots // lpmod._REFACTOR + p.confirmations
+            for p in phases) + stats.drive_outs
+        # refactoring at every pivot made one per iteration
+        assert stats.pivots > 10 * stats.factorizations
+
+
+class TestSolveStats:
+    def test_stats_name_the_start_path(self):
+        cold = lpmod.LinearProgram(sense="min")
+        cold.add_variable("x", 0.0, 10.0, objective=1.0)
+        cold.add_constraint("floor", {"x": 1.0}, ">=", 4.0)
+        assert lpmod.solve(cold).stats.start == lpmod.PHASE_1
+        assert lpmod.solve(cold, start=[4.0]).stats.start == lpmod.CRASHED
+        # x = 0 already satisfies the row: no phase 1
+        capped = lpmod.LinearProgram(sense="max")
+        capped.add_variable("x", 0.0, 10.0, objective=1.0)
+        capped.add_constraint("cap", {"x": 1.0}, "<=", 4.0)
+        sol = lpmod.solve(capped)
+        assert sol.stats.start == lpmod.FEASIBLE_START
+        assert sol.stats.phase_1 is None
+        assert (sol.stats.phase_2.pivots, sol.stats.factorizations) == (1, 2)
+        assert sol.stats.phase_2.confirmations == 1
+
+    def test_stats_take_no_part_in_equality_or_repr(self):
+        sol = lpmod.solve(single_period_market_lp())
+        assert sol.stats is not None
+        assert dataclasses.replace(sol, stats=None) == sol
+        assert "stats" not in repr(sol)
+
+    def test_clearing_results_carry_stats(self):
+        scn = parse_scenario((resources.files("artifact") / "fixtures"
+                              / "table1.json").read_text())
+        for res in run_scenario(dataclasses.replace(scn, mode="vlb")).results:
+            assert res.lp_solution.stats.pivots >= 0
+            assert res.lp_solution.stats.factorizations >= 1
