@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 from . import lp as lpmod
 from . import storage_ledger
 from .errors import InfeasibleError, LpNumericalError, ScenarioError
-from .model import IntervalSpec, StorageSpec, ValueLedger
-
-_ZERO_SNAP = 1e-9
-
-
-def _clean(v: float) -> float:
-    return 0.0 if abs(v) < _ZERO_SNAP else float(v)
+from .model import IntervalSpec, StorageSpec, ValueLedger, snap_zero
 
 
 @dataclass(frozen=True)
@@ -105,23 +99,23 @@ def _extract_dispatch(sol: lpmod.LpSolution, interval: IntervalSpec,
                       offset: int) -> tuple[list[dict[str, float]],
                                             list[dict[str, float]]]:
     T = interval.grid.n_periods
-    loads = [{ld.id: _clean(sol.primal[f"d[{ld.id},{offset + t + 1}]"])
+    loads = [{ld.id: snap_zero(sol.primal[f"d[{ld.id},{offset + t + 1}]"])
               for ld in interval.loads} for t in range(T)]
-    gens = [{g.id: _clean(sol.primal[f"p[{g.id},{offset + t + 1}]"])
+    gens = [{g.id: snap_zero(sol.primal[f"p[{g.id},{offset + t + 1}]"])
              for g in interval.generators} for t in range(T)]
     return loads, gens
 
 
 def _prices_and_ranges(prog: lpmod.LinearProgram, sol: lpmod.LpSolution,
                        n_periods: int, dt: float, compute_ranges: bool):
-    prices = tuple(_clean(sol.duals[f"balance[{t + 1}]"] / dt)
+    prices = tuple(snap_zero(sol.duals[f"balance[{t + 1}]"] / dt)
                    for t in range(n_periods))
     if not compute_ranges:
         return prices, None
     ranges = []
     for t in range(n_periods):
         lo, hi = lpmod.dual_range(prog, sol, f"balance[{t + 1}]")
-        ranges.append((_clean(lo / dt), _clean(hi / dt)))
+        ranges.append((snap_zero(lo / dt), snap_zero(hi / dt)))
     return prices, tuple(ranges)
 
 
@@ -181,11 +175,11 @@ def _clear_chain(mode: str, intervals: tuple[IntervalSpec, ...],
         loads.extend(ld)
         gens.extend(gd)
     prices, ranges = _prices_and_ranges(prog, sol, total, dt, compute_ranges)
-    level = tuple(_clean(sol.primal[f"e[{t + 1}]"]) for t in range(total))
+    level = tuple(snap_zero(sol.primal[f"e[{t + 1}]"]) for t in range(total))
     return ClearingResult(
         mode=mode, delta_t=dt, n_periods=total,
         load_dispatch=tuple(loads), gen_dispatch=tuple(gens),
-        storage_injection=tuple(_clean(sol.primal[f"pC[{t + 1}]"])
+        storage_injection=tuple(snap_zero(sol.primal[f"pC[{t + 1}]"])
                                 for t in range(total)),
         prices=prices, price_ranges=ranges, level=level,
         objective=sol.objective, initial_content=float(e_init),
@@ -326,16 +320,18 @@ def clear_vlb(interval: IntervalSpec, storage: StorageSpec,
     sol = _solve_or_raise(prog, "end_level")
     loads, gens = _extract_dispatch(sol, interval, 0)
     prices, ranges = _prices_and_ranges(prog, sol, T, dt, compute_ranges)
-    intra_charge = tuple(_clean(sol.primal[f"pCa[{t + 1}]"]) for t in range(T))
-    intra_level = tuple(_clean(sol.primal[f"ea[{t + 1}]"]) for t in range(T))
+    intra_charge = tuple(snap_zero(sol.primal[f"pCa[{t + 1}]"])
+                         for t in range(T))
+    intra_level = tuple(snap_zero(sol.primal[f"ea[{t + 1}]"])
+                        for t in range(T))
     inter_discharge = tuple(
-        tuple(_clean(sol.primal[f"pD[{v + 1},{t + 1}]"]) for t in range(T))
+        tuple(snap_zero(sol.primal[f"pD[{v + 1},{t + 1}]"]) for t in range(T))
         for v in range(V))
     inter_level = tuple(
-        tuple(_clean(sol.primal[f"ee[{v + 1},{t + 1}]"]) for t in range(T))
+        tuple(snap_zero(sol.primal[f"ee[{v + 1},{t + 1}]"]) for t in range(T))
         for v in range(V))
     injection = tuple(
-        _clean(intra_charge[t] - sum(row[t] for row in inter_discharge))
+        snap_zero(intra_charge[t] - sum(row[t] for row in inter_discharge))
         for t in range(T))
     result = ClearingResult(
         mode="vlb", delta_t=dt, n_periods=T,
@@ -348,7 +344,7 @@ def clear_vlb(interval: IntervalSpec, storage: StorageSpec,
         bucket_quantities=tuple(b.quantity for b in buckets),
         bucket_births=tuple(b.birth_interval for b in buckets),
         objective=sol.objective, initial_content=ledger.total,
-        final_content=_clean(intra_level[-1]
+        final_content=snap_zero(intra_level[-1]
                              + sum(row[-1] for row in inter_level)),
         lp=prog, lp_solution=sol)
     return storage_ledger.remove_simultaneous(result)

@@ -378,7 +378,12 @@ def emit(report: RunReport, format: str = "table") -> str:
 def _load_scenario(ref: str) -> Scenario:
     path = Path(ref)
     if path.exists():
-        return parse_scenario(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioError(
+                f"cannot read scenario {ref!r}: {exc}") from exc
+        return parse_scenario(text)
     if ref in FIXTURE_NAMES:
         text = (resources.files("artifact") / "fixtures" / f"{ref}.json").read_text()
         return parse_scenario(text)
@@ -451,8 +456,6 @@ def main(argv=None) -> int:
             report = run(scenario, price_selection=args.price_selection,
                          compute_ranges=not args.no_price_ranges)
         document = emit(report, format=args.format)
-        if args.dump_lp:
-            _dump_lps(report, args.dump_lp)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for diag in exc.diagnostics:
@@ -464,9 +467,15 @@ def main(argv=None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
-    if args.out:
-        Path(args.out).write_text(document)
-    else:
+    try:
+        if args.dump_lp:
+            _dump_lps(report, args.dump_lp)
+        if args.out:
+            Path(args.out).write_text(document)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_INVALID
+    if not args.out:
         sys.stdout.write(document)
     failed = [m for m in report.modes if m.error is not None]
     if failed:

@@ -6,20 +6,28 @@ Bland's rule (deterministic: identical inputs give identical outputs), dual
 extraction by constraint label, post-solve optimality certificates, and exact
 dual multiplicity ranges computed over the optimal dual face.
 
-A solve may be given a feasible starting point. When that point is a vertex,
-a basis is crashed at it and phase 2 starts at once; otherwise the solve
-falls back to the two-phase path. Price ranging uses this: the published
-optimal dual is a vertex of the optimal dual face, so no face solve runs
-phase 1.
+A solve starts on one of three paths (``SolveStats.start``). ``CRASHED``:
+a given starting point that is a feasible vertex gets a basis crashed at
+it, and phase 2 starts there; each dual-face solve starts so at the
+published dual. ``FEASIBLE_START``: with every column on a bound (free ones
+at 0) the row slacks fit their bounds, and elimination gives each row its
+lowest-index usable pivot; an LP without rows starts here. ``PHASE_1``:
+otherwise, with artificials still basic driven out before phase 2.
 
 Conventions
 -----------
 * ``sense`` is ``"max"`` or ``"min"``; bounds may be ``+-math.inf``.
 * Reported duals are oriented for the problem as stated: for a ``max``
   problem a binding ``<=`` row has a nonnegative dual.
-* ``EPS`` (1e-7) is the feasibility/certificate tolerance; pivoting uses a
-  tighter internal tolerance. ``_REFACTOR`` (32) is the number of basis
-  changes between fresh factorizations of the basis.
+* Tolerances (``docs/decisions.md`` tabulates their scaling): ``EPS``
+  (1e-7) for certificates, phase 1's infeasibility verdict and a published
+  dual's place in its range; ``_PIVOT_EPS`` (1e-9) for pivots, improving
+  reduced costs and a crash's bound test; ``_RATIO_TIE`` (1e-12) for ties
+  in the ratio test; ``_SINGULAR`` (1e-12) for a singular basis LU;
+  ``_START_TOL`` (1e-12) for a feasible start's slacks; ``_ANCHOR_TOL``
+  (1e-9) for the bound at which the dual face anchors a column.
+* ``_REFACTOR`` (32) is the number of basis changes between fresh
+  factorizations of the basis.
 
 The simplex keeps the LU factorization of its basis across pivots in
 product form: each basis change appends an eta (the leaving row and the
@@ -41,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.linalg import lu, lu_factor, lu_solve
+from scipy.linalg import lu, lu_factor
 from scipy.linalg.lapack import dgetrs
 
 from .errors import LpNumericalError
@@ -49,6 +57,9 @@ from .errors import LpNumericalError
 EPS = 1e-7
 _PIVOT_EPS = 1e-9
 _RATIO_TIE = 1e-12
+_SINGULAR = 1e-12
+_START_TOL = 1e-12
+_ANCHOR_TOL = 1e-9
 _REFACTOR = 32
 
 _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
@@ -248,20 +259,12 @@ class _Standard:
 
 
 def _initial_point(std: _Standard) -> tuple[np.ndarray, np.ndarray]:
-    """Nonbasic start: each column at a finite bound, free columns at 0."""
-    total = std.n + std.m
-    x = np.zeros(total)
-    state = np.full(total, _AT_LOWER, dtype=np.int8)
-    for j in range(total):
-        if std.lb[j] > -math.inf:
-            x[j] = std.lb[j]
-            state[j] = _AT_LOWER
-        elif std.ub[j] < math.inf:
-            x[j] = std.ub[j]
-            state[j] = _AT_UPPER
-        else:
-            x[j] = 0.0
-            state[j] = _FREE
+    """Nonbasic start: each column at its finite lower bound, else at its
+    finite upper bound, else free at 0."""
+    has_lb, has_ub = std.lb > -math.inf, std.ub < math.inf
+    x = np.where(has_lb, std.lb, np.where(has_ub, std.ub, 0.0))
+    state = np.where(has_lb, _AT_LOWER,
+                     np.where(has_ub, _AT_UPPER, _FREE)).astype(np.int8)
     return x, state
 
 
@@ -270,7 +273,8 @@ def _factor(A: np.ndarray, basis: np.ndarray):
     lu, piv = lu_factor(B, check_finite=False)
     diag = np.abs(np.diag(lu))
     scale = max(1.0, float(np.max(np.abs(B))) if B.size else 1.0)
-    if not np.all(np.isfinite(lu)) or (diag.size and float(np.min(diag)) < 1e-12 * scale):
+    small = diag.size and float(np.min(diag)) < _SINGULAR * scale
+    if not np.all(np.isfinite(lu)) or small:
         raise LpNumericalError("singular basis matrix")
     return lu, piv
 
@@ -432,82 +436,54 @@ def _feasible_start_basis(std: _Standard, x: np.ndarray,
     """If the nonbasic start satisfies every row once slacks take their
     natural activity values, place those slacks, build a deterministic basis
     (lowest-index usable pivot per row, interior slacks forced basic), and
-    return it. Returns None when the start is infeasible."""
+    return it. Returns None, writing nothing, when the start is
+    infeasible."""
     n, m = std.n, std.m
-    total = n + m
+    lo, hi = std.lb[n:], std.ub[n:]
     want = std.b - std.A[:, :n] @ x[:n]
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(std.b))) if m else 1.0)
-    forced: list[int] = []
-    for i in range(m):
-        lo, hi = std.lb[n + i], std.ub[n + i]
-        si = float(want[i])
-        if si < lo - tol or si > hi + tol:
-            return None
-        si = min(max(si, lo), hi)
-        if si > lo + tol and si < hi - tol:
-            x[n + i] = si
-            forced.append(i)  # interior value: this slack must be basic
-        elif si - lo <= hi - si:
-            x[n + i] = lo
-            state[n + i] = _AT_LOWER
-        else:
-            x[n + i] = hi
-            state[n + i] = _AT_UPPER
-    basis = np.full(m, -1, dtype=int)
+    tol = _START_TOL * max(1.0, float(np.max(np.abs(std.b), initial=0.0)))
+    if np.any(want < lo - tol) or np.any(want > hi + tol):
+        return None
+    slack = np.minimum(np.maximum(want, lo), hi)
+    # interior slacks go basic, others to the nearer bound (lower on a tie)
+    forced = (slack > lo + tol) & (slack < hi - tol)
+    upper = ~forced & (slack - lo > hi - slack)
+    x[n:] = np.where(forced, want, np.where(upper, hi, lo))
+    state[n:] = np.where(forced, _BASIC, np.where(upper, _AT_UPPER, _AT_LOWER))
+    basis = np.where(forced, n + np.arange(m), -1)
     W = std.A.copy()
-    for i in forced:
-        basis[i] = n + i
-        state[n + i] = _BASIC
-    for i in range(m):
-        if basis[i] >= 0:
-            continue
-        pivot = -1
-        for j in range(total):
-            if state[j] == _BASIC:
-                continue
-            if abs(W[i, j]) > _PIVOT_EPS:
-                pivot = j
-                break
-        if pivot < 0:
-            pivot = n + i  # dependent row: its own slack, basic at a bound
+    for i in np.flatnonzero(~forced):
+        usable = np.flatnonzero((state != _BASIC)
+                                & (np.abs(W[i]) > _PIVOT_EPS))
+        # a dependent row keeps its own slack, basic at a bound
+        pivot = int(usable[0]) if usable.size else n + i
         basis[i] = pivot
         state[pivot] = _BASIC
         W[i] = W[i] / W[i, pivot]
-        for k in range(m):
-            if k != i and W[k, pivot]:
-                W[k] = W[k] - W[k, pivot] * W[i]
+        rows = np.flatnonzero(W[:, pivot])
+        rows = rows[rows != i]
+        W[rows] = W[rows] - W[rows, pivot, None] * W[i]
     return basis
 
 
-def _drive_out_artificials(A: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-                           state: np.ndarray, basis: np.ndarray,
-                           n_real: int) -> None:
+def _drive_out_artificials(A: np.ndarray, state: np.ndarray,
+                           basis: np.ndarray, n_real: int) -> int:
     """Replace basic artificial columns (all at value zero after a feasible
-    phase 1) with the lowest-index real column having a usable pivot."""
-    m = len(basis)
-    for k in range(m):
-        if basis[k] < n_real:
-            continue
-        lu = _factor(A, basis)
-        ek = np.zeros(m)
+    phase 1) with the lowest-index real column having a usable pivot. An
+    artificial without one (a redundant row) stays basic. Returns the number
+    of basis factorizations made, one per artificial."""
+    arts = np.flatnonzero(basis >= n_real)
+    for k in arts:
+        ek = np.zeros(len(basis))
         ek[k] = 1.0
-        z = lu_solve(lu, ek, trans=1, check_finite=False)
-        row = z @ A[:, :n_real]
-        entered = False
-        for j in range(n_real):
-            if state[j] == _BASIC:
-                continue
-            if abs(row[j]) > _PIVOT_EPS:
-                art = basis[k]
-                basis[k] = j
-                state[j] = _BASIC
-                state[art] = _AT_LOWER
-                entered = True
-                break
-        if not entered:
-            # redundant row: pin the artificial in place at zero
-            lb[basis[k]] = 0.0
-            ub[basis[k]] = 0.0
+        row = _getrs(_factor(A, basis), ek, 1) @ A[:, :n_real]
+        usable = np.flatnonzero((state[:n_real] != _BASIC)
+                                & (np.abs(row) > _PIVOT_EPS))
+        if usable.size:
+            state[basis[k]] = _AT_LOWER
+            basis[k] = usable[0]
+            state[basis[k]] = _BASIC
+    return len(arts)
 
 
 def _crash_basis(std: _Standard, start: np.ndarray
@@ -583,18 +559,13 @@ def _solve_reference(std: _Standard, start: np.ndarray | None = None
                                           x, state, basis, max_iter)
             return status, x[:std.n], y, SolveStats(CRASHED, None, phase)
     x, state = _initial_point(std)
-    if m == 0:
-        basis = np.zeros(0, dtype=int)
-        status, y, phase = _run_phase(std, std.A, std.c, std.lb, std.ub, x,
-                                      state, basis, max_iter)
-        return status, x[:std.n], y, SolveStats(FEASIBLE_START, None, phase)
-    x2, state2 = x.copy(), state.copy()
-    basis0 = _feasible_start_basis(std, x2, state2)
+    basis0 = _feasible_start_basis(std, x, state)
     if basis0 is not None:
-        # the start already satisfies every row: no phase 1 needed
-        status, y, phase = _run_phase(std, std.A, std.c, std.lb, std.ub, x2,
-                                      state2, basis0, max_iter)
-        return status, x2[:std.n], y, SolveStats(FEASIBLE_START, None, phase)
+        # the start already satisfies every row (an LP without rows too):
+        # no phase 1 needed
+        status, y, phase = _run_phase(std, std.A, std.c, std.lb, std.ub, x,
+                                      state, basis0, max_iter)
+        return status, x[:std.n], y, SolveStats(FEASIBLE_START, None, phase)
     residual = std.b - std.A @ x
     art_sign = np.where(residual >= 0, 1.0, -1.0)
     A1 = np.hstack([std.A, np.diag(art_sign)])
@@ -608,14 +579,13 @@ def _solve_reference(std: _Standard, start: np.ndarray | None = None
                                      max_iter)
     if status != OPTIMAL:
         raise LpNumericalError("phase 1 terminated abnormally")
-    scale = max(1.0, float(np.max(np.abs(std.b))) if m else 1.0)
+    scale = max(1.0, float(np.max(np.abs(std.b))))
     if float(x1[total:].sum()) > EPS * scale:
         return (INFEASIBLE, x1[:std.n], np.zeros(m),
                 SolveStats(PHASE_1, phase_1, None))
-    # one factorization per artificial still basic
-    drive_outs = int(np.count_nonzero(basis >= total))
-    _drive_out_artificials(A1, lb1, ub1, state1, basis, total)
-    # artificials are pinned at zero and priced out for phase 2
+    drive_outs = _drive_out_artificials(A1, state1, basis, total)
+    # artificials, basic ones included, are pinned at zero and priced out
+    # for phase 2
     lb1[total:] = 0.0
     ub1[total:] = 0.0
     c2 = np.concatenate([std.c, np.zeros(m)])
@@ -625,15 +595,15 @@ def _solve_reference(std: _Standard, start: np.ndarray | None = None
             SolveStats(PHASE_1, phase_1, phase_2, drive_outs))
 
 
-def check_certificates(lp: LinearProgram, solution: LpSolution,
-                       tolerance: float = EPS) -> CertificateReport:
+def check_certificates(lp: LinearProgram,
+                       solution: LpSolution) -> CertificateReport:
     """Verify primal feasibility, dual feasibility, complementary slackness,
-    and strong duality for an optimal (primal, dual) pair."""
+    and strong duality for an optimal (primal, dual) pair, to ``EPS``."""
     std = _Standard(lp)
     x = np.array([solution.primal[name] for name in lp.variable_names], dtype=float)
     y_user = np.array([solution.duals[label] for label in lp.constraint_labels],
                       dtype=float)
-    return _certify(std, x, std.sign * y_user, tolerance)
+    return _certify(std, x, std.sign * y_user, EPS)
 
 
 def _certify(std: _Standard, x: np.ndarray, y: np.ndarray,
@@ -792,9 +762,9 @@ def _dual_face(lp: LinearProgram, solution: LpSolution,
         a_j = cols[name]
         if vlb == vub:
             anchor, op = vlb, None
-        elif vub < math.inf and x_j >= vub - 1e-9:
+        elif vub < math.inf and x_j >= vub - _ANCHOR_TOL:
             anchor, op = vub, "<="
-        elif vlb > -math.inf and x_j <= vlb + 1e-9:
+        elif vlb > -math.inf and x_j <= vlb + _ANCHOR_TOL:
             anchor, op = vlb, ">="
         else:
             anchor, op = 0.0, "=="

@@ -20,10 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .clearing import ClearingResult, dispatch_welfare
-from .model import IntervalSpec
-
-#: slack allowed before a surplus counts as negative / content counts as held
-AUDIT_EPS = 1e-6
+from .model import AUDIT_EPS, IntervalSpec
 
 PRICE_SELECTIONS = ("point", "range_min", "range_max")
 

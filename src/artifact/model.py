@@ -32,8 +32,18 @@ from .errors import ScenarioError
 
 MODES = ("ideal", "split_end_level", "split_penalty", "vlb")
 
-#: tolerance below which stored energy counts as zero (MWh)
+#: magnitude below which an energy, power or price counts as zero
 MODEL_EPS = 1e-9
+
+#: slack of the audits and ledger checks (EUR, MWh): a surplus of at least
+#: ``-AUDIT_EPS`` recovers cost, a content at most it counts as empty, and a
+#: bucket or ledger total may miss its cleared value by it
+AUDIT_EPS = 1e-6
+
+
+def snap_zero(v: float) -> float:
+    """``v`` as a float, or 0.0 when its magnitude is below ``MODEL_EPS``."""
+    return 0.0 if abs(v) < MODEL_EPS else float(v)
 
 
 @dataclass(frozen=True)

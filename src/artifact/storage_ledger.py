@@ -18,12 +18,11 @@ from typing import TYPE_CHECKING
 
 from . import lp as lpmod
 from .errors import LpNumericalError, SimultaneityError, ValuationError
-from .model import MODEL_EPS, ValueBucket, ValueLedger
+from .model import (AUDIT_EPS, MODEL_EPS, ValueBucket, ValueLedger,
+                    snap_zero)
 
 if TYPE_CHECKING:
     from .clearing import ClearingResult
-
-_EPS = 1e-9
 
 
 def remove_simultaneous(result: ClearingResult) -> ClearingResult:
@@ -57,11 +56,12 @@ def remove_simultaneous(result: ClearingResult) -> ClearingResult:
     max_moves = 4 * T * T * (V + 1) + 16
     changed = False
     for tau in range(T):
-        while charge[tau] > _EPS and disch_total(tau) > _EPS:
+        while charge[tau] > MODEL_EPS and disch_total(tau) > MODEL_EPS:
             moves += 1
             if moves > max_moves:
                 raise SimultaneityError("overlap removal did not terminate")
-            kappa = next((t for t in range(T) if charge[t] < -_EPS), None)
+            kappa = next((t for t in range(T) if charge[t] < -MODEL_EPS),
+                         None)
             if kappa is None:
                 raise SimultaneityError(
                     f"period {tau + 1} charges and discharges simultaneously "
@@ -95,18 +95,15 @@ def remove_simultaneous(result: ClearingResult) -> ClearingResult:
             row.append(level)
         ee.append(row)
 
-    def _clean(x: float) -> float:
-        return 0.0 if abs(x) < _EPS else float(x)
-
     return replace(
         result,
-        intra_charge=tuple(_clean(x) for x in charge),
-        intra_level=tuple(_clean(x) for x in ea),
-        inter_discharge=tuple(tuple(_clean(x) for x in row)
+        intra_charge=tuple(snap_zero(x) for x in charge),
+        intra_level=tuple(snap_zero(x) for x in ea),
+        inter_discharge=tuple(tuple(snap_zero(x) for x in row)
                               for row in discharge),
-        inter_level=tuple(tuple(_clean(x) for x in row) for row in ee),
+        inter_level=tuple(tuple(snap_zero(x) for x in row) for row in ee),
         storage_injection=tuple(
-            _clean(charge[t] - sum(row[t] for row in discharge))
+            snap_zero(charge[t] - sum(row[t] for row in discharge))
             for t in range(T)))
 
 
@@ -126,7 +123,7 @@ def apply_net_discharge(ledger: ValueLedger,
     remaining = []
     for bucket, used in zip(buckets, result.total_inter_discharge):
         left = bucket.quantity - used
-        if left < -1e-6:
+        if left < -AUDIT_EPS:
             raise LpNumericalError(
                 f"bucket priced {bucket.price} discharged {used} MWh but "
                 f"held only {bucket.quantity} MWh")
@@ -207,7 +204,7 @@ def update_ledger(ledger: ValueLedger, result: ClearingResult,
                 for t in range(result.n_periods)
                 if dt * split.moved[t] > MODEL_EPS]
         updated = ValueLedger.from_buckets(updated.buckets + tuple(born))
-    if abs(updated.total - result.final_content) > 1e-6:
+    if abs(updated.total - result.final_content) > AUDIT_EPS:
         raise LpNumericalError(
             f"ledger total {updated.total} drifted from cleared final "
             f"content {result.final_content}")

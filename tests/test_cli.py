@@ -74,6 +74,34 @@ class TestExitCodes:
         assert code == 2
         assert "psychic" in err
 
+    def test_scenario_directory(self, capsys, tmp_path):
+        code, _, err = invoke(capsys, "--scenario", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: cannot read scenario")
+
+    def test_scenario_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"mode": "vlb", "note": "é"}'.encode("latin-1"))
+        code, _, err = invoke(capsys, "--scenario", str(bad))
+        assert code == 2
+        assert err.startswith("error: cannot read scenario")
+
+    def test_out_is_a_directory(self, capsys, tmp_path):
+        code, out, err = invoke(capsys, "--scenario", "table1", "--mode",
+                                "vlb", "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_dump_lp_is_a_file(self, capsys, tmp_path):
+        target = tmp_path / "lps"
+        target.write_text("")
+        code, out, err = invoke(capsys, "--scenario", "table1", "--mode",
+                                "vlb", "--dump-lp", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestStructuredFormat:
     def test_single_mode_document_shape(self, capsys):

@@ -9,6 +9,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from artifact import lp as lpmod
@@ -824,6 +825,179 @@ class TestFactorUpdates:
             for p in phases) + stats.drive_outs
         # refactoring at every pivot made one per iteration
         assert stats.pivots > 10 * stats.factorizations
+
+
+def _initial_point_by_loop(std):
+    """Column by column: the reference for ``_initial_point``."""
+    total = std.n + std.m
+    x = np.zeros(total)
+    state = np.full(total, lpmod._AT_LOWER, dtype=np.int8)
+    for j in range(total):
+        if std.lb[j] > -math.inf:
+            x[j] = std.lb[j]
+            state[j] = lpmod._AT_LOWER
+        elif std.ub[j] < math.inf:
+            x[j] = std.ub[j]
+            state[j] = lpmod._AT_UPPER
+        else:
+            x[j] = 0.0
+            state[j] = lpmod._FREE
+    return x, state
+
+
+def _feasible_start_basis_by_loop(std, x, state):
+    """Row by row and column by column: the reference for
+    ``_feasible_start_basis``. It may write slacks before it fails."""
+    n, m = std.n, std.m
+    total = n + m
+    want = std.b - std.A[:, :n] @ x[:n]
+    tol = lpmod._START_TOL * max(1.0, float(np.max(np.abs(std.b)))
+                                 if m else 1.0)
+    forced = []
+    for i in range(m):
+        lo, hi = std.lb[n + i], std.ub[n + i]
+        si = float(want[i])
+        if si < lo - tol or si > hi + tol:
+            return None
+        si = min(max(si, lo), hi)
+        if si > lo + tol and si < hi - tol:
+            x[n + i] = si
+            forced.append(i)
+        elif si - lo <= hi - si:
+            x[n + i] = lo
+            state[n + i] = lpmod._AT_LOWER
+        else:
+            x[n + i] = hi
+            state[n + i] = lpmod._AT_UPPER
+    basis = np.full(m, -1, dtype=int)
+    W = std.A.copy()
+    for i in forced:
+        basis[i] = n + i
+        state[n + i] = lpmod._BASIC
+    for i in range(m):
+        if basis[i] >= 0:
+            continue
+        pivot = -1
+        for j in range(total):
+            if state[j] == lpmod._BASIC:
+                continue
+            if abs(W[i, j]) > lpmod._PIVOT_EPS:
+                pivot = j
+                break
+        if pivot < 0:
+            pivot = n + i
+        basis[i] = pivot
+        state[pivot] = lpmod._BASIC
+        W[i] = W[i] / W[i, pivot]
+        for k in range(m):
+            if k != i and W[k, pivot]:
+                W[k] = W[k] - W[k, pivot] * W[i]
+    return basis
+
+
+def _drive_out_artificials_by_loop(A, lb, ub, state, basis, n_real):
+    """Row by row with scipy's ``lu_solve``: the reference for
+    ``_drive_out_artificials``."""
+    m = len(basis)
+    for k in range(m):
+        if basis[k] < n_real:
+            continue
+        lu = lpmod._factor(A, basis)
+        ek = np.zeros(m)
+        ek[k] = 1.0
+        z = scipy.linalg.lu_solve(lu, ek, trans=1, check_finite=False)
+        row = z @ A[:, :n_real]
+        entered = False
+        for j in range(n_real):
+            if state[j] == lpmod._BASIC:
+                continue
+            if abs(row[j]) > lpmod._PIVOT_EPS:
+                art = basis[k]
+                basis[k] = j
+                state[j] = lpmod._BASIC
+                state[art] = lpmod._AT_LOWER
+                entered = True
+                break
+        if not entered:
+            lb[basis[k]] = 0.0
+            ub[basis[k]] = 0.0
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStartBasesAgainstLoop:
+    """The vectorized start helpers make the decisions of the loops they
+    replaced, bit for bit, on random, dense and fixture clearing LPs."""
+
+    @staticmethod
+    def _programs(dense: int = 60):
+        rng = np.random.default_rng(41)
+        progs = [_random_lp(rng)[0] for _ in range(400)]
+        rng = np.random.default_rng(42)
+        progs += [_dense_random_lp(rng) for _ in range(dense)]
+        return progs + [prog for prog, _sol in _fixture_clearings()]
+
+    def test_points_and_bases_match_the_loop(self):
+        feasible = 0
+        for prog in self._programs():
+            std = lpmod._Standard(prog)
+            x, state = lpmod._initial_point(std)
+            x_ref, state_ref = _initial_point_by_loop(std)
+            assert _same_bits(x, x_ref) and _same_bits(state, state_ref)
+            x0, state0 = x.copy(), state.copy()
+            basis = lpmod._feasible_start_basis(std, x, state)
+            basis_ref = _feasible_start_basis_by_loop(std, x_ref, state_ref)
+            if basis_ref is None:
+                assert basis is None, prog.name
+                # a failed start writes nothing
+                assert _same_bits(x, x0) and _same_bits(state, state0)
+                continue
+            feasible += 1
+            assert _same_bits(basis, basis_ref), prog.name
+            assert _same_bits(x, x_ref) and _same_bits(state, state_ref)
+        assert feasible >= 40
+
+    def test_drive_outs_match_the_loop(self, monkeypatch):
+        counts = []
+        drive_out = lpmod._drive_out_artificials
+
+        def spy(A, state, basis, n_real):
+            state_ref, basis_ref = state.copy(), basis.copy()
+            # the loop also pinned a redundant row's artificial at zero,
+            # which phase 2 does for every artificial
+            _drive_out_artificials_by_loop(
+                A, np.zeros(A.shape[1]), np.full(A.shape[1], math.inf),
+                state_ref, basis_ref, n_real)
+            # one factorization per artificial basic on entry
+            want = int(np.count_nonzero(basis >= n_real))
+            count = drive_out(A, state, basis, n_real)
+            assert count == want
+            assert _same_bits(basis, basis_ref)
+            assert _same_bits(state, state_ref)
+            counts.append(count)
+            return count
+
+        monkeypatch.setattr(lpmod, "_drive_out_artificials", spy)
+        # a dense LP takes 0.2 s through phase 1 and none of the first 60
+        # leaves an artificial basic: the fixtures drive them out
+        for prog in self._programs(dense=10):
+            lpmod.solve(prog)
+        assert sum(c > 0 for c in counts) >= 5
+
+    def test_lp_without_rows_starts_feasible(self):
+        prog = lpmod.LinearProgram(sense="max")
+        prog.add_variable("x", -1.0, 2.0, objective=3.0)
+        prog.add_variable("y", -math.inf, math.inf)
+        sol = lpmod.solve(prog)
+        assert sol.status == lpmod.OPTIMAL
+        assert sol.stats.start == lpmod.FEASIBLE_START
+        assert sol.stats.phase_1 is None
+        prog.add_variable("z", -math.inf, math.inf, objective=1.0)
+        sol = lpmod.solve(prog)
+        assert sol.status == lpmod.UNBOUNDED
+        assert sol.stats.start == lpmod.FEASIBLE_START
 
 
 class TestSolveStats:
