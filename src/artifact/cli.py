@@ -44,6 +44,15 @@ _EXIT_INFEASIBLE = 3
 _EXIT_NUMERICAL = 4
 
 
+def _exit_code(exc: EngineError) -> int:
+    """The exit code of a run that failed with ``exc``."""
+    if isinstance(exc, ScenarioError):
+        return _EXIT_INVALID
+    if isinstance(exc, InfeasibleError):
+        return _EXIT_INFEASIBLE
+    return _EXIT_NUMERICAL
+
+
 @dataclass(frozen=True)
 class ModeReport:
     """Everything reported about one mode's run of a scenario."""
@@ -187,10 +196,9 @@ def compare(scenario: Scenario, modes, price_selection: str = "point",
             reports.append(_build_mode_report(scenario, mode, price_selection,
                                               compute_ranges))
         except EngineError as exc:
-            code = (_EXIT_INFEASIBLE if isinstance(exc, InfeasibleError)
-                    else _EXIT_NUMERICAL)
             reports.append(ModeReport(mode=mode, price_selection=price_selection,
-                                      error=str(exc), error_code=code))
+                                      error=str(exc),
+                                      error_code=_exit_code(exc)))
     return RunReport(scenario=scenario, modes=tuple(reports))
 
 
@@ -456,17 +464,11 @@ def main(argv=None) -> int:
             report = run(scenario, price_selection=args.price_selection,
                          compute_ranges=not args.no_price_ranges)
         document = emit(report, format=args.format)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for diag in exc.diagnostics:
-            print(f"  - {diag}", file=sys.stderr)
-        return _EXIT_INVALID
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INFEASIBLE
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
+        for diag in getattr(exc, "diagnostics", ()):
+            print(f"  - {diag}", file=sys.stderr)
+        return _exit_code(exc)
     try:
         if args.dump_lp:
             _dump_lps(report, args.dump_lp)

@@ -1,7 +1,7 @@
 """Linear programming core.
 
 A small, self-contained LP toolkit: a builder type with named variables and
-labeled constraints, a dense bounded-variable two-phase revised simplex with
+labeled constraints, a bounded-variable two-phase revised simplex with
 Bland's rule (deterministic: identical inputs give identical outputs), dual
 extraction by constraint label, post-solve optimality certificates, and exact
 dual multiplicity ranges computed over the optimal dual face.
@@ -40,6 +40,14 @@ solve that refactors at every pivot takes: Bland's rule for the entering
 column and the ``_RATIO_TIE`` rule for the leaving one. Basic values are
 updated along the path and never recomputed; the certificate check guards
 against drift. ``LpSolution.stats`` counts what a solve did.
+
+Pricing computes the reduced costs ``c - A.T @ y`` from the entries of
+``A`` alone, not from the dense product: the standard form keeps the
+coefficients as (row, column, value) arrays in row order with the slack
+identity last, and phase 1 appends its artificial diagonal. Each column's
+terms so add up in row order. The basis factorization, the start paths and
+the certificate check use the dense ``A``, so the certificate stays an
+independent check of the pricing.
 """
 
 from __future__ import annotations
@@ -179,6 +187,8 @@ class PhaseStats:
     near_tie_pricings: int = 0
     # ratio tests whose winner was settled by the _RATIO_TIE rule
     ratio_ties: int = 0
+    # pivots whose step is 0: the basis changes, the point does not
+    degenerate_pivots: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -251,10 +261,17 @@ class _Standard:
             elif op == ">=":
                 self.lb[n + i], self.ub[n + i] = -math.inf, 0.0
             # "==": slack fixed at [0, 0]
-        A = np.zeros((m, n + m))
-        A[rows, cols] = np.asarray(vals, dtype=float) + 0.0  # -0.0 -> 0.0
-        A[np.arange(m), n + np.arange(m)] = 1.0
-        self.A = A
+        # A's entries in row order, the slack identity last, so that
+        # pricing adds each column's terms in row order
+        rows += range(m)
+        cols += range(n, n + m)
+        vals += [1.0] * m
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        vals = np.asarray(vals, dtype=float) + 0.0  # -0.0 -> 0.0
+        self.A = np.zeros((m, n + m))
+        self.A[rows, cols] = vals
+        self.entries = rows, cols, vals
         self.sign = sign
 
 
@@ -308,6 +325,25 @@ def _btran(lu, etas: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
         v[r] = 0.0
         v[r] = (vr - w @ v) / w[r]
     return _getrs(lu, v, 1)
+
+
+def _pricing(std: _Standard, A: np.ndarray):
+    """The reduced costs ``c - A.T @ y`` as a function of ``(c, y)``,
+    summed over the entries of ``A``: the standard form's, plus phase 1's
+    artificial diagonal when ``A`` has one."""
+    rows, cols, vals = std.entries
+    if A.shape[1] > std.n + std.m:
+        i = np.arange(std.m)
+        art = std.n + std.m + i
+        rows = np.concatenate([rows, i])
+        cols = np.concatenate([cols, art])
+        vals = np.concatenate([vals, A[i, art]])
+    size = A.shape[1]
+
+    def price(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return c - np.bincount(cols, weights=vals * y[rows], minlength=size)
+
+    return price
 
 
 def _entering(rc: np.ndarray, state: np.ndarray, fixed: np.ndarray
@@ -379,6 +415,7 @@ def _run_phase(std: _Standard, A: np.ndarray, c: np.ndarray, lb: np.ndarray,
     m = len(basis)
     fixed = lb == ub
     stats = PhaseStats()
+    price = _pricing(std, A)
     lu, etas = None, []
     while True:
         if stats.pivots + stats.bound_flips >= max_iter:
@@ -388,7 +425,7 @@ def _run_phase(std: _Standard, A: np.ndarray, c: np.ndarray, lb: np.ndarray,
             lu, etas = _factor(A, basis), []
             stats.factorizations += 1
         y = _btran(lu, etas, c[basis]) if m else np.zeros(0)
-        rc = c - A.T @ y if m else c.copy()
+        rc = price(c, y)
         q, sigma, near_tie = _entering(rc, state, fixed)
         stats.near_tie_pricings += near_tie
         if q >= 0:
@@ -419,6 +456,7 @@ def _run_phase(std: _Standard, A: np.ndarray, c: np.ndarray, lb: np.ndarray,
                 state[q] = _AT_LOWER
         else:
             stats.pivots += 1
+            stats.degenerate_pivots += int(t_best == 0.0)
             leave = basis[r_best]
             if sigma * w[r_best] > 0:
                 x[leave] = lb[leave]

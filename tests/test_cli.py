@@ -74,6 +74,23 @@ class TestExitCodes:
         assert code == 2
         assert "psychic" in err
 
+    def test_invalid_mode_in_compare_exits_two(self, capsys):
+        # table4 has no penalty price: split_penalty is invalid input there,
+        # as in a single-mode run, while the other modes clear
+        code, out, _ = invoke(capsys, "--scenario", "table4", "--compare",
+                              "ideal,split_end_level,split_penalty,vlb",
+                              "--format", "structured")
+        assert code == 2
+        errors = {mode: doc.get("error")
+                  for mode, doc in json.loads(out)["modes"].items()}
+        assert errors == {"ideal": None, "split_end_level": None,
+                          "split_penalty": "split_penalty clearing requires "
+                                           "penalty_price",
+                          "vlb": None}
+        single, _, _ = invoke(capsys, "--scenario", "table4", "--mode",
+                              "split_penalty")
+        assert single == code
+
     def test_scenario_directory(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "--scenario", str(tmp_path))
         assert code == 2
@@ -153,7 +170,8 @@ class TestStructuredFormat:
         code, out, _ = invoke(capsys, "--scenario", str(path),
                               "--compare", "vlb,split_penalty",
                               "--format", "structured")
-        assert code == 4
+        # a mode that cannot run on this input is invalid input
+        assert code == 2
         doc = json.loads(out)
         assert "error" in doc["modes"]["split_penalty"]
         assert doc["modes"]["vlb"]["totals"]["social_welfare"] \

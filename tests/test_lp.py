@@ -1029,3 +1029,113 @@ class TestSolveStats:
         for res in run_scenario(dataclasses.replace(scn, mode="vlb")).results:
             assert res.lp_solution.stats.pivots >= 0
             assert res.lp_solution.stats.factorizations >= 1
+
+    def test_degenerate_pivots_are_counted(self):
+        scn = parse_scenario((resources.files("artifact") / "fixtures"
+                              / "table1.json").read_text())
+        run = run_scenario(dataclasses.replace(scn, mode="split_penalty"),
+                           compute_ranges=False)
+        # the idle first interval pivots once, at a degenerate vertex
+        idle = run.results[0].lp_solution.stats.phase_2
+        assert (idle.pivots, idle.degenerate_pivots) == (1, 1)
+        # telemetry only: the count takes no part in equality
+        assert dataclasses.replace(idle, degenerate_pivots=7) == idle
+        for _prog, sol in _fixture_clearings():
+            for phase in sol.stats._phases():
+                assert 0 <= phase.degenerate_pivots <= phase.pivots
+
+
+def _dense_pricing(std, A):
+    """The pricing the simplex used before: the dense product over every
+    column of ``A``."""
+    return lambda c, y: c - A.T @ y
+
+
+class TestPricingAgainstDense:
+    """Pricing from A's entries takes the dense product's path: the same
+    statuses, bases after each phase, pivot and flip counts, and
+    bitwise-equal duals; its reduced costs agree with the product to
+    rounding."""
+
+    @staticmethod
+    def _solve(monkeypatch, prog, pricing):
+        """The solution and the final basis of each phase."""
+        bases = []
+        run_phase = lpmod._run_phase
+
+        def spy(std, A, c, lb, ub, x, state, basis, max_iter):
+            out = run_phase(std, A, c, lb, ub, x, state, basis, max_iter)
+            bases.append(basis.tolist())
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lpmod, "_pricing", pricing)
+            patch.setattr(lpmod, "_run_phase", spy)
+            return lpmod.solve(prog), bases
+
+    @classmethod
+    def _assert_same_path(cls, monkeypatch, prog):
+        ref, ref_bases = cls._solve(monkeypatch, prog, _dense_pricing)
+        got, got_bases = cls._solve(monkeypatch, prog, lpmod._pricing)
+        assert got.status == ref.status, prog.name
+        assert got_bases == ref_bases, prog.name
+        assert got.stats.start == ref.stats.start
+        for phase in ("phase_1", "phase_2"):
+            a, b = getattr(got.stats, phase), getattr(ref.stats, phase)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert (a.pivots, a.bound_flips) == (b.pivots, b.bound_flips)
+        if ref.status == lpmod.OPTIMAL:
+            assert ([v.hex() for v in got.duals.values()]
+                    == [v.hex() for v in ref.duals.values()]), prog.name
+        return got
+
+    @staticmethod
+    def _horizon(rng, days):
+        capacity = float(rng.uniform(0.5, 3.0))
+        intervals = tuple(
+            random_interval(rng, capacity, n_periods=24, delta_t=1.0,
+                            end_level=float(rng.uniform(0.1, 0.5)) * capacity)
+            for _ in range(days))
+        return clear_ideal(StorageSpec(capacity, 0.0), intervals,
+                           compute_ranges=False).lp
+
+    def test_fixture_clearings(self, monkeypatch):
+        clearings = _fixture_clearings()
+        assert len(clearings) >= 20
+        for prog, _sol in clearings:
+            self._assert_same_path(monkeypatch, prog)
+
+    def test_ideal_horizons(self, monkeypatch):
+        rng = np.random.default_rng(20261023)
+        for _ in range(20):
+            got = self._assert_same_path(monkeypatch, self._horizon(rng, 2))
+            assert got.stats.start == lpmod.PHASE_1
+        got = self._assert_same_path(monkeypatch, self._horizon(rng, 7))
+        assert got.stats.phase_1.pivots > 300
+
+    def test_reduced_costs_match_the_dense_product(self, monkeypatch):
+        # every (std, A) a solve prices with, phase 1's artificials included
+        priced = []
+        run_phase = lpmod._run_phase
+
+        def spy(std, A, *args):
+            priced.append((std, A))
+            return run_phase(std, A, *args)
+
+        monkeypatch.setattr(lpmod, "_run_phase", spy)
+        rng = np.random.default_rng(44)
+        for _ in range(200):
+            lpmod.solve(_random_lp(rng)[0])
+        for _ in range(5):
+            lpmod.solve(_dense_random_lp(rng))
+        artificial = 0
+        for std, A in priced:
+            artificial += A.shape[1] > std.n + std.m
+            c = rng.uniform(-5.0, 5.0, A.shape[1])
+            y = rng.uniform(-10.0, 10.0, std.m)
+            got = lpmod._pricing(std, A)(c, y)
+            want = _dense_pricing(std, A)(c, y)
+            tol = 1e-12 * float(np.max(np.abs(A))) * float(np.abs(y).sum())
+            assert np.all(np.abs(got - want) <= tol)
+        assert artificial >= 100
