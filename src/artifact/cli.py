@@ -1,8 +1,8 @@
 """Scenario runner command line and report emitters.
 
-``run`` executes one scenario under its mode; ``compare`` runs the same
-scenario under several modes side by side; ``emit`` renders a report either
-as aligned text tables (``table``) or as a machine-readable JSON document
+``compare`` runs a scenario under one or more modes side by side, and every
+command-line run goes through it; ``emit`` renders a report either as
+aligned text tables (``table``) or as a machine-readable JSON document
 (``structured``) whose top-level sections are ``intervals``,
 ``ledger_snapshots``, ``surpluses``, ``cycles``, and ``totals``. Structured
 output is deterministic: re-running a scenario yields a byte-identical
@@ -24,11 +24,10 @@ from pathlib import Path
 from . import lp as lpmod
 from .errors import EngineError, InfeasibleError, ScenarioError
 from .metrics import (
+    PRICE_SELECTIONS,
     VERDICT_FAIL,
     VERDICT_INDETERMINATE,
     VERDICT_PASS,
-    CycleReport,
-    SurplusLine,
     cost_recovery_audit,
     participant_surpluses,
     social_welfare,
@@ -55,32 +54,30 @@ def _exit_code(exc: EngineError) -> int:
 
 @dataclass(frozen=True)
 class ModeReport:
-    """Everything reported about one mode's run of a scenario."""
+    """Everything reported about one mode's run of a scenario.
+
+    ``document`` is the mode's structured report; a mode that failed has
+    only ``mode`` and ``error`` in it.
+    """
 
     mode: str
     price_selection: str
-    intervals: tuple[dict, ...] = ()
-    ledger_snapshots: tuple[dict, ...] = ()
-    surpluses: tuple[SurplusLine, ...] = ()
-    cycles: tuple[CycleReport, ...] = ()
-    totals: dict = field(default_factory=dict)
+    document: dict
     error: str | None = None
     error_code: int = 0
     run: ScenarioRun | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def totals(self) -> dict:
+        """The document's totals; empty for a failed mode."""
+        return self.document.get("totals", {})
 
 
 @dataclass(frozen=True)
 class RunReport:
     """One or more mode reports over a single scenario."""
 
-    scenario: Scenario = field(repr=False)
     modes: tuple[ModeReport, ...] = ()
-
-    @property
-    def single(self) -> ModeReport:
-        if len(self.modes) != 1:
-            raise ValueError("report covers more than one mode")
-        return self.modes[0]
 
 
 def _interval_summary(result, index: int) -> dict:
@@ -118,7 +115,7 @@ def _bucket_docs(ledger) -> list[dict]:
              "birth_interval": b.birth_interval} for b in ledger.buckets]
 
 
-def _ledger_snapshots(run: ScenarioRun) -> tuple[dict, ...]:
+def _ledger_snapshots(run: ScenarioRun) -> list[dict]:
     snaps = [
         {"interval": i, "stage": "before", "buckets": _bucket_docs(ledger)}
         for i, ledger in enumerate(run.ledgers_before, start=1)
@@ -126,14 +123,14 @@ def _ledger_snapshots(run: ScenarioRun) -> tuple[dict, ...]:
     if run.final_ledger is not None:
         snaps.append({"interval": len(run.results), "stage": "after",
                       "buckets": _bucket_docs(run.final_ledger)})
-    return tuple(snaps)
+    return snaps
 
 
-def _aggregate_verdict(cycles: tuple[CycleReport, ...]) -> str:
-    if any(c.verdict == VERDICT_FAIL for c in cycles):
-        return VERDICT_FAIL
-    if any(c.verdict == VERDICT_INDETERMINATE for c in cycles):
-        return VERDICT_INDETERMINATE
+def _aggregate_verdict(cycles: list[dict]) -> str:
+    verdicts = {c["verdict"] for c in cycles}
+    for verdict in (VERDICT_FAIL, VERDICT_INDETERMINATE):
+        if verdict in verdicts:
+            return verdict
     return VERDICT_PASS
 
 
@@ -142,44 +139,43 @@ def _build_mode_report(scenario: Scenario, mode: str, price_selection: str,
     run = run_scenario(replace(scenario, mode=mode),
                        compute_ranges=compute_ranges)
     results, bids = list(run.results), list(scenario.intervals)
-    lines = tuple(participant_surpluses(results, bids, price_selection))
-    cycles = tuple(cost_recovery_audit(results, bids, price_selection))
+    surpluses = [{"participant": ln.participant, "kind": ln.kind,
+                  "interval": ln.interval_index, "surplus": ln.surplus}
+                 for ln in participant_surpluses(results, bids,
+                                                 price_selection)]
+    cycles = [{"start": c.start, "end": c.end, "closed": c.closed,
+               "storage_surplus": c.storage_surplus, "verdict": c.verdict,
+               "social_welfare": c.social_welfare}
+              for c in cost_recovery_audit(results, bids, price_selection)]
     n = len(results)
-    welfare = social_welfare(results, bids, (1, n)) if n else 0.0
-    totals = {
-        "social_welfare": welfare,
-        "objective_sum": sum(r.objective for r in results),
-        "load_surplus": sum(ln.surplus for ln in lines if ln.kind == "load"),
-        "generator_surplus": sum(ln.surplus for ln in lines
-                                 if ln.kind == "generator"),
-        "storage_surplus": sum(ln.surplus for ln in lines
-                               if ln.kind == "storage"),
-        "cost_recovery": _aggregate_verdict(cycles),
+
+    def surplus_of(kind: str) -> float:
+        return sum(s["surplus"] for s in surpluses if s["kind"] == kind)
+
+    document = {
+        "mode": mode,
+        "price_selection": price_selection,
+        "intervals": [_interval_summary(r, i)
+                      for i, r in enumerate(results, start=1)],
+        "ledger_snapshots": _ledger_snapshots(run),
+        "surpluses": surpluses,
+        "cycles": cycles,
+        "totals": {
+            "social_welfare": social_welfare(results, bids, (1, n)) if n
+            else 0.0,
+            "objective_sum": sum(r.objective for r in results),
+            "load_surplus": surplus_of("load"),
+            "generator_surplus": surplus_of("generator"),
+            "storage_surplus": surplus_of("storage"),
+            "cost_recovery": _aggregate_verdict(cycles),
+        },
     }
-    return ModeReport(
-        mode=mode,
-        price_selection=price_selection,
-        intervals=tuple(_interval_summary(r, i)
-                        for i, r in enumerate(results, start=1)),
-        ledger_snapshots=_ledger_snapshots(run),
-        surpluses=lines,
-        cycles=cycles,
-        totals=totals,
-        run=run,
-    )
-
-
-def run(scenario: Scenario, price_selection: str = "point",
-        compute_ranges: bool = True) -> RunReport:
-    """Run a scenario under its own mode and assemble the full report."""
-    report = _build_mode_report(scenario, scenario.mode, price_selection,
-                                compute_ranges)
-    return RunReport(scenario=scenario, modes=(report,))
+    return ModeReport(mode, price_selection, document, run=run)
 
 
 def compare(scenario: Scenario, modes, price_selection: str = "point",
             compute_ranges: bool = True) -> RunReport:
-    """Run the same scenario under several modes.
+    """Run the same scenario under one or more modes.
 
     A mode that fails is reported with its error while the others complete.
     Modes run in their canonical order regardless of the order given.
@@ -189,17 +185,16 @@ def compare(scenario: Scenario, modes, price_selection: str = "point",
     if unknown:
         raise ScenarioError(
             f"unknown mode(s) {', '.join(unknown)}; valid: {', '.join(MODES)}")
-    ordered = [m for m in MODES if m in wanted]
     reports = []
-    for mode in ordered:
+    for mode in (m for m in MODES if m in wanted):
         try:
             reports.append(_build_mode_report(scenario, mode, price_selection,
                                               compute_ranges))
         except EngineError as exc:
-            reports.append(ModeReport(mode=mode, price_selection=price_selection,
-                                      error=str(exc),
-                                      error_code=_exit_code(exc)))
-    return RunReport(scenario=scenario, modes=tuple(reports))
+            reports.append(ModeReport(
+                mode, price_selection, {"mode": mode, "error": str(exc)},
+                error=str(exc), error_code=_exit_code(exc)))
+    return RunReport(modes=tuple(reports))
 
 
 # ---------------------------------------------------------------------------
@@ -207,38 +202,13 @@ def compare(scenario: Scenario, modes, price_selection: str = "point",
 # ---------------------------------------------------------------------------
 
 
-def _surplus_doc(line: SurplusLine) -> dict:
-    return {"participant": line.participant, "kind": line.kind,
-            "interval": line.interval_index, "surplus": line.surplus}
-
-
-def _cycle_doc(c: CycleReport) -> dict:
-    return {"start": c.start, "end": c.end, "closed": c.closed,
-            "storage_surplus": c.storage_surplus, "verdict": c.verdict,
-            "social_welfare": c.social_welfare}
-
-
-def _mode_doc(report: ModeReport) -> dict:
-    if report.error is not None:
-        return {"mode": report.mode, "error": report.error}
-    return {
-        "mode": report.mode,
-        "price_selection": report.price_selection,
-        "intervals": list(report.intervals),
-        "ledger_snapshots": list(report.ledger_snapshots),
-        "surpluses": [_surplus_doc(line) for line in report.surpluses],
-        "cycles": [_cycle_doc(c) for c in report.cycles],
-        "totals": dict(report.totals),
-    }
-
-
 def structured_document(report: RunReport) -> dict:
     """The report as a JSON-ready dict (single-mode reports at top level)."""
     if len(report.modes) == 1:
-        return _mode_doc(report.modes[0])
+        return report.modes[0].document
     return {
-        "modes": {m.mode: _mode_doc(m) for m in report.modes},
-        "totals": {m.mode: (None if m.error is not None else dict(m.totals))
+        "modes": {m.mode: m.document for m in report.modes},
+        "totals": {m.mode: (None if m.error is not None else m.totals)
                    for m in report.modes},
     }
 
@@ -265,10 +235,10 @@ def _render_rows(headers: list[str], rows: list[list[str]]) -> list[str]:
     return out
 
 
-def _dispatch_section(report: ModeReport) -> list[str]:
-    load_ids = sorted({k for iv in report.intervals for k in iv["loads"]})
-    gen_ids = sorted({k for iv in report.intervals for k in iv["generators"]})
-    vlb = any("intra_charge" in iv for iv in report.intervals)
+def _dispatch_section(intervals: list[dict]) -> list[str]:
+    load_ids = sorted({k for iv in intervals for k in iv["loads"]})
+    gen_ids = sorted({k for iv in intervals for k in iv["generators"]})
+    vlb = any("intra_charge" in iv for iv in intervals)
     headers = (["MI", "t"] + [f"d[{i}]" for i in load_ids]
                + [f"p[{i}]" for i in gen_ids])
     if vlb:
@@ -276,11 +246,11 @@ def _dispatch_section(report: ModeReport) -> list[str]:
     else:
         headers += ["pC", "e"]
     headers += ["price"]
-    has_ranges = any(iv["price_ranges"] is not None for iv in report.intervals)
+    has_ranges = any(iv["price_ranges"] is not None for iv in intervals)
     if has_ranges:
         headers += ["price range"]
     rows = []
-    for iv in report.intervals:
+    for iv in intervals:
         for t in range(iv["n_periods"]):
             row = [str(iv["index"]) if t == 0 else "", str(t + 1)]
             row += [_fmt(iv["loads"].get(i, [0.0] * iv["n_periods"])[t])
@@ -306,9 +276,9 @@ def _dispatch_section(report: ModeReport) -> list[str]:
     return _render_rows(headers, rows)
 
 
-def _ledger_section(report: ModeReport) -> list[str]:
+def _ledger_section(snapshots: list[dict]) -> list[str]:
     out = []
-    for snap in report.ledger_snapshots:
+    for snap in snapshots:
         label = (f"before MI {snap['interval']}" if snap["stage"] == "before"
                  else f"after MI {snap['interval']}")
         if not snap["buckets"]:
@@ -321,18 +291,18 @@ def _ledger_section(report: ModeReport) -> list[str]:
     return out
 
 
-def _surplus_section(report: ModeReport) -> list[str]:
+def _surplus_section(surpluses: list[dict]) -> list[str]:
     headers = ["MI", "participant", "kind", "surplus"]
-    rows = [[str(line.interval_index), line.participant, line.kind,
-             _fmt(line.surplus)] for line in report.surpluses]
+    rows = [[str(s["interval"]), s["participant"], s["kind"],
+             _fmt(s["surplus"])] for s in surpluses]
     return _render_rows(headers, rows)
 
 
-def _cycle_section(report: ModeReport) -> list[str]:
+def _cycle_section(cycles: list[dict]) -> list[str]:
     headers = ["MIs", "closed", "storage surplus", "verdict", "social welfare"]
-    rows = [[f"{c.start}-{c.end}", "yes" if c.closed else "no",
-             _fmt(c.storage_surplus), c.verdict, _fmt(c.social_welfare)]
-            for c in report.cycles]
+    rows = [[f"{c['start']}-{c['end']}", "yes" if c["closed"] else "no",
+             _fmt(c["storage_surplus"]), c["verdict"],
+             _fmt(c["social_welfare"])] for c in cycles]
     return _render_rows(headers, rows)
 
 
@@ -340,19 +310,20 @@ def _text_for_mode(report: ModeReport) -> list[str]:
     head = f"=== mode {report.mode} (prices: {report.price_selection}) ==="
     if report.error is not None:
         return [head, f"  error: {report.error}", ""]
+    doc = report.document
     out = [head, ""]
-    out += _dispatch_section(report)
+    out += _dispatch_section(doc["intervals"])
     out.append("")
-    if report.ledger_snapshots:
+    if doc["ledger_snapshots"]:
         out.append("ledger:")
-        out += _ledger_section(report)
+        out += _ledger_section(doc["ledger_snapshots"])
         out.append("")
     out.append("surpluses:")
-    out += ["  " + line for line in _surplus_section(report)]
+    out += ["  " + line for line in _surplus_section(doc["surpluses"])]
     out.append("")
     out.append("cycles:")
-    if report.cycles:
-        out += ["  " + line for line in _cycle_section(report)]
+    if doc["cycles"]:
+        out += ["  " + line for line in _cycle_section(doc["cycles"])]
     else:
         out.append("  (none)")
     out.append("")
@@ -431,7 +402,7 @@ def _parser() -> argparse.ArgumentParser:
     group.add_argument("--compare",
                        help="comma-separated modes to run side by side")
     parser.add_argument("--price-selection", default="point",
-                        choices=("point", "range_min", "range_max"),
+                        choices=PRICE_SELECTIONS,
                         help="price used for settlement and audits")
     parser.add_argument("--no-price-ranges", action="store_true",
                         help="skip price-multiplicity ranges (faster)")
@@ -455,20 +426,22 @@ def main(argv=None) -> int:
         scenario = _load_scenario(args.scenario)
         if args.compare:
             modes = [m.strip() for m in args.compare.split(",") if m.strip()]
-            report = compare(scenario, modes,
-                             price_selection=args.price_selection,
-                             compute_ranges=not args.no_price_ranges)
         else:
-            if args.mode:
-                scenario = replace(scenario, mode=args.mode)
-            report = run(scenario, price_selection=args.price_selection,
+            modes = [args.mode or scenario.mode]
+        report = compare(scenario, modes,
+                         price_selection=args.price_selection,
                          compute_ranges=not args.no_price_ranges)
-        document = emit(report, format=args.format)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for diag in getattr(exc, "diagnostics", ()):
             print(f"  - {diag}", file=sys.stderr)
         return _exit_code(exc)
+    failed = [m for m in report.modes if m.error is not None]
+    if failed and not args.compare:
+        # a single-mode run that fails writes no report
+        print(f"error: {failed[0].error}", file=sys.stderr)
+        return failed[0].error_code
+    document = emit(report, format=args.format)
     try:
         if args.dump_lp:
             _dump_lps(report, args.dump_lp)
@@ -479,7 +452,6 @@ def main(argv=None) -> int:
         return _EXIT_INVALID
     if not args.out:
         sys.stdout.write(document)
-    failed = [m for m in report.modes if m.error is not None]
     if failed:
         return failed[0].error_code
     return _EXIT_OK

@@ -112,32 +112,26 @@ def participant_surpluses(results: list[ClearingResult],
     return lines
 
 
-def _boundaries(results: list[ClearingResult]) -> list[float]:
-    """Total stored energy at each interval boundary (length N+1)."""
+def _pieces(results: list[ClearingResult]) -> list[tuple[int, int, bool]]:
+    """The horizon cut at every boundary where the store holds at most
+    :data:`AUDIT_EPS`, as 1-based inclusive ``(start, end, closed)`` spans
+    in order; ``closed`` when the store is empty at both ends."""
     if not results:
-        return [0.0]
-    out = [results[0].initial_content]
-    out.extend(r.final_content for r in results)
-    return out
+        return []
+    contents = [results[0].initial_content] + [r.final_content for r in results]
+    empty = [c <= AUDIT_EPS for c in contents]
+    cuts = [0] + [i for i in range(1, len(results)) if empty[i]] + [len(results)]
+    return [(a + 1, b, empty[a] and empty[b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def detect_cycles(results: list[ClearingResult]) -> list[tuple[int, int]]:
     """Maximal non-overlapping closed cycles, as 1-based inclusive pairs.
 
-    A cycle runs between two boundaries where the store holds at most
-    :data:`AUDIT_EPS`; each empty boundary greedily closes the cycle opened at
-    the previous empty boundary. Intervals before the first or after the last
+    A cycle runs between two consecutive boundaries where the store holds at
+    most :data:`AUDIT_EPS`. Intervals before the first or after the last
     empty boundary belong to no cycle.
     """
-    bounds = _boundaries(results)
-    cycles: list[tuple[int, int]] = []
-    open_at: int | None = 0 if bounds[0] <= AUDIT_EPS else None
-    for i in range(1, len(bounds)):
-        if bounds[i] <= AUDIT_EPS:
-            if open_at is not None and i > open_at:
-                cycles.append((open_at + 1, i))
-            open_at = i
-    return cycles
+    return [(start, end) for start, end, closed in _pieces(results) if closed]
 
 
 def social_welfare(results: list[ClearingResult], bids: list[IntervalSpec],
@@ -167,25 +161,11 @@ def cost_recovery_audit(results: list[ClearingResult],
     uniform price each period.
     """
     _check_alignment(results, bids)
-    lines = participant_surpluses(results, bids, price_selection)
-    storage_by_interval = {ln.interval_index: ln.surplus
-                           for ln in lines if ln.kind == "storage"}
-    cycles = detect_cycles(results)
-    covered: set[int] = set()
-    for start, end in cycles:
-        covered.update(range(start, end + 1))
-    spans: list[tuple[int, int, bool]] = [(s, e, True) for s, e in cycles]
-    run_start: int | None = None
-    for i in range(1, len(results) + 2):
-        if i <= len(results) and i not in covered:
-            if run_start is None:
-                run_start = i
-        elif run_start is not None:
-            spans.append((run_start, i - 1, False))
-            run_start = None
+    storage = [ln.surplus for ln in participant_surpluses(
+        results, bids, price_selection) if ln.kind == "storage"]
     reports = []
-    for start, end, closed in sorted(spans):
-        surplus = sum(storage_by_interval[i] for i in range(start, end + 1))
+    for start, end, closed in _pieces(results):
+        surplus = sum(storage[start - 1:end])
         if not closed:
             verdict = VERDICT_INDETERMINATE
         elif surplus >= -AUDIT_EPS:

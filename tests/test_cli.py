@@ -91,6 +91,14 @@ class TestExitCodes:
                               "split_penalty")
         assert single == code
 
+    def test_failed_single_mode_writes_no_report(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        code, out, err = invoke(capsys, "--scenario", "table4", "--mode",
+                                "split_penalty", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == "error: split_penalty clearing requires penalty_price\n"
+        assert not target.exists()
+
     def test_scenario_directory(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "--scenario", str(tmp_path))
         assert code == 2
