@@ -147,10 +147,22 @@ def _need(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _json_int(digits: str) -> int | float:
+    """A JSON integer; one longer than ``int()`` reads is far beyond any
+    float and becomes ±inf, which validation rejects by its field path."""
+    try:
+        return int(digits)
+    except ValueError:
+        return float(digits)
+
+
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # reads as ±inf, as 1e400 does, for validation
+        return math.inf if value > 0 else -math.inf
 
 
 def _integer(value, path: str) -> int:
@@ -181,6 +193,19 @@ def _numbers(value, path: str) -> tuple[float, ...]:
     return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(_array(value, path)))
 
 
+def _bids(interval: dict, path: str, key: str, price_field: str, cls) -> tuple:
+    """The ``key`` bids of one interval, each with ``id``, ``price_field``
+    and ``max``, built as ``cls(id, prices, max_quantity)``."""
+    out = []
+    for j, item in enumerate(_array(_need(interval, key, path), f"{path}.{key}")):
+        bp = f"{path}.{key}[{j}]"
+        bo = _object(item, bp)
+        out.append(cls(_string(_need(bo, "id", bp), f"{bp}.id"),
+                       _numbers(_need(bo, price_field, bp), f"{bp}.{price_field}"),
+                       _numbers(_need(bo, "max", bp), f"{bp}.max")))
+    return tuple(out)
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
@@ -188,11 +213,14 @@ def parse_scenario(text: str) -> Scenario:
     one diagnostic per violated invariant for semantic errors.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ScenarioError("syntax error: arrays or objects nested too "
+                            "deeply") from exc
     root = _object(raw, "$")
     sto = _object(_need(root, "storage", "$"), "storage")
     storage = StorageSpec(
@@ -220,30 +248,11 @@ def parse_scenario(text: str) -> Scenario:
             n_periods=_integer(_need(obj, "n_periods", path), f"{path}.n_periods"),
             delta_t=_number(_need(obj, "delta_t", path), f"{path}.delta_t"),
         )
-        loads = []
-        for j, ld in enumerate(_array(_need(obj, "loads", path), f"{path}.loads")):
-            lp = f"{path}.loads[{j}]"
-            lo = _object(ld, lp)
-            loads.append(LoadBid(
-                id=_string(_need(lo, "id", lp), f"{lp}.id"),
-                utility=_numbers(_need(lo, "utility", lp), f"{lp}.utility"),
-                max_quantity=_numbers(_need(lo, "max", lp), f"{lp}.max"),
-            ))
-        gens = []
-        for j, gd in enumerate(_array(_need(obj, "generators", path),
-                                      f"{path}.generators")):
-            gp = f"{path}.generators[{j}]"
-            go = _object(gd, gp)
-            gens.append(GeneratorBid(
-                id=_string(_need(go, "id", gp), f"{gp}.id"),
-                cost=_numbers(_need(go, "cost", gp), f"{gp}.cost"),
-                max_quantity=_numbers(_need(go, "max", gp), f"{gp}.max"),
-            ))
         penalty = obj.get("penalty_price")
         intervals.append(IntervalSpec(
             grid=grid,
-            loads=tuple(loads),
-            generators=tuple(gens),
+            loads=_bids(obj, path, "loads", "utility", LoadBid),
+            generators=_bids(obj, path, "generators", "cost", GeneratorBid),
             end_level=_number(_need(obj, "end_level", path), f"{path}.end_level"),
             penalty_price=None if penalty is None
             else _number(penalty, f"{path}.penalty_price"),

@@ -24,6 +24,7 @@ from artifact.clearing import (
 )
 from artifact.errors import InfeasibleError, ScenarioError
 from artifact.lp import write_lp_text
+from artifact.metrics import social_welfare
 from artifact.model import (
     IntervalSpec,
     Scenario,
@@ -464,3 +465,57 @@ class TestStorageChainRelations:
             assert _rows(pen) == _rows(split)[:-1]
             cleared += 1
         assert cleared >= must_clear
+
+
+def _price_scaled(scenario: Scenario, k: float) -> Scenario:
+    """``scenario`` with every utility, cost and penalty price times ``k``."""
+    return replace(scenario, intervals=tuple(replace(
+        iv,
+        loads=tuple(replace(ld, utility=tuple(k * u for u in ld.utility))
+                    for ld in iv.loads),
+        generators=tuple(replace(g, cost=tuple(k * c for c in g.cost))
+                         for g in iv.generators),
+        penalty_price=None if iv.penalty_price is None
+        else k * iv.penalty_price) for iv in scenario.intervals))
+
+
+def _welfare_and_endpoints(scenario: Scenario) -> list[float]:
+    run = run_scenario(scenario)
+    values = [social_welfare(list(run.results), list(scenario.intervals),
+                             (1, len(run.results)))]
+    for res in run.results:
+        values += [end for rng in res.price_ranges for end in rng]
+    return values
+
+
+class TestPriceScaling:
+    """Scaling every price by k > 0 scales the objective by k and leaves the
+    feasible set alone, so the unique optimal values (welfare and the price
+    range endpoints) scale by k. Only ``ideal`` and ``split_end_level`` are
+    checked: ``split_penalty`` and ``vlb`` carry a non-unique end content
+    into the next interval."""
+
+    @pytest.mark.parametrize("k", [0.25, 3.0])
+    @pytest.mark.parametrize("mode", ["ideal", "split_end_level"])
+    def test_welfare_and_ranges_scale_with_prices(self, mode, k):
+        rng = np.random.default_rng(20261018)
+        cleared = 0
+        for _ in range(30):
+            capacity = float(rng.uniform(0.5, 3.0))
+            dt = float(rng.choice([0.5, 1.0]))
+            scenario = Scenario(StorageSpec(capacity, 0.0), (
+                random_interval(rng, capacity, penalty=True, delta_t=dt),
+                random_interval(rng, capacity, penalty=True, delta_t=dt,
+                                end_level=0.0)), mode)
+            try:
+                base = _welfare_and_endpoints(scenario)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    run_scenario(_price_scaled(scenario, k))
+                continue
+            scaled = _welfare_and_endpoints(_price_scaled(scenario, k))
+            assert len(scaled) == len(base)
+            for want, got in zip(base, scaled):
+                assert abs(got - k * want) <= 1e-9 * max(1.0, abs(k * want))
+            cleared += 1
+        assert cleared >= 25

@@ -51,6 +51,18 @@ class TestExitCodes:
         assert code == 2
         assert "capacity" in err
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100000,
+        '{"storage": {"capacity": ' + "9" * 5000 + "}}",
+        '{"storage": {"capacity": 1' + "0" * 400 + "}}",
+    ], ids=["deep_nesting", "digit_limit", "float_range"])
+    def test_hostile_document_exits_two(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = invoke(capsys, "--scenario", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
     def test_infeasible_scenario(self, capsys, infeasible_file):
         code, _, err = invoke(capsys, "--scenario", infeasible_file)
         assert code == 3

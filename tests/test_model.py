@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import json
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact.errors import ScenarioError
 from artifact.model import (
@@ -70,6 +76,75 @@ class TestParsing:
         bad = MINIMAL.replace('"max": [3.0]', '"max": ["three"]')
         with pytest.raises(ScenarioError, match=r"max\[0\]"):
             parse_scenario(bad)
+
+
+class TestHostileInput:
+    """Input that once ended in a traceback instead of a ScenarioError."""
+
+    def test_deep_nesting(self):
+        with pytest.raises(ScenarioError, match="nested too deeply"):
+            parse_scenario("[" * 100000)
+
+    def test_integer_beyond_the_digit_limit(self):
+        text = MINIMAL.replace('"capacity": 2.5', '"capacity": ' + "9" * 5000)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert "storage.capacity: must be a finite nonnegative energy" \
+            in exc.value.diagnostics
+
+    def test_integer_beyond_float_range(self):
+        text = MINIMAL.replace('"capacity": 2.5', '"capacity": 1' + "0" * 400)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert "storage.capacity: must be a finite nonnegative energy" \
+            in exc.value.diagnostics
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+#: a valid document that uses every field
+FULL = json.loads(serialize_scenario(replace(
+    table1_scenario("vlb"), discount_rate=0.1,
+    initial_ledger=ValueLedger((ValueBucket(5.0, 1.0, 1),)))))
+
+
+def _paths(node, prefix=()):
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _parses_or_rejects(text: str) -> None:
+    try:
+        assert isinstance(parse_scenario(text), Scenario)
+    except ScenarioError:
+        pass
+
+
+class TestArbitraryInput:
+    """``parse_scenario`` returns a Scenario or raises ScenarioError,
+    whatever JSON it is given."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(JSON_VALUES)
+    def test_any_json_value(self, value):
+        _parses_or_rejects(json.dumps(value))
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.sampled_from(list(_paths(FULL))), JSON_VALUES)
+    def test_valid_document_with_one_field_replaced(self, path, value):
+        doc = copy.deepcopy(FULL)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        _parses_or_rejects(json.dumps(doc))
 
 
 class TestValidation:
