@@ -127,10 +127,10 @@ def _ledger_snapshots(run: ScenarioRun) -> list[dict]:
 
 
 def _aggregate_verdict(cycles: list[dict]) -> str:
-    verdicts = {c["verdict"] for c in cycles}
-    for verdict in (VERDICT_FAIL, VERDICT_INDETERMINATE):
-        if verdict in verdicts:
-            return verdict
+    if any(c["verdict"] == VERDICT_FAIL for c in cycles):
+        return VERDICT_FAIL
+    if any(c["verdict"] == VERDICT_INDETERMINATE for c in cycles):
+        return VERDICT_INDETERMINATE
     return VERDICT_PASS
 
 
@@ -185,8 +185,9 @@ def compare(scenario: Scenario, modes, price_selection: str = "point",
     if unknown:
         raise ScenarioError(
             f"unknown mode(s) {', '.join(unknown)}; valid: {', '.join(MODES)}")
+    ordered = [m for m in MODES if m in wanted]
     reports = []
-    for mode in (m for m in MODES if m in wanted):
+    for mode in ordered:
         try:
             reports.append(_build_mode_report(scenario, mode, price_selection,
                                               compute_ranges))

@@ -13,6 +13,9 @@ from helpers import interval, table1_scenario
 from artifact.model import Scenario, StorageSpec
 
 
+TABLE1 = serialize_scenario(table1_scenario("vlb"))
+
+
 def invoke(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -51,17 +54,19 @@ class TestExitCodes:
         assert code == 2
         assert "capacity" in err
 
-    @pytest.mark.parametrize("text", [
-        "[" * 100000,
-        '{"storage": {"capacity": ' + "9" * 5000 + "}}",
-        '{"storage": {"capacity": 1' + "0" * 400 + "}}",
+    @pytest.mark.parametrize("text, named", [
+        ("[" * 100000, "nested too deeply"),
+        (TABLE1.replace('"capacity": 2.5', '"capacity": ' + "9" * 5000),
+         "storage.capacity"),
+        (TABLE1.replace('"capacity": 2.5', '"capacity": 1' + "0" * 400),
+         "storage.capacity"),
     ], ids=["deep_nesting", "digit_limit", "float_range"])
-    def test_hostile_document_exits_two(self, capsys, tmp_path, text):
+    def test_hostile_document_exits_two(self, capsys, tmp_path, text, named):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         code, out, err = invoke(capsys, "--scenario", str(bad))
         assert (code, out) == (2, "")
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and named in err
 
     def test_infeasible_scenario(self, capsys, infeasible_file):
         code, _, err = invoke(capsys, "--scenario", infeasible_file)
