@@ -60,12 +60,19 @@ class ModeReport:
     only ``mode`` and ``error`` in it.
     """
 
-    mode: str
     price_selection: str
     document: dict
-    error: str | None = None
     error_code: int = 0
     run: ScenarioRun | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def mode(self) -> str:
+        return self.document["mode"]
+
+    @property
+    def error(self) -> str | None:
+        """The failed mode's error message; None for a mode that ran."""
+        return self.document.get("error")
 
     @property
     def totals(self) -> dict:
@@ -170,7 +177,7 @@ def _build_mode_report(scenario: Scenario, mode: str, price_selection: str,
             "cost_recovery": _aggregate_verdict(cycles),
         },
     }
-    return ModeReport(mode, price_selection, document, run=run)
+    return ModeReport(price_selection, document, run=run)
 
 
 def compare(scenario: Scenario, modes, price_selection: str = "point",
@@ -193,8 +200,8 @@ def compare(scenario: Scenario, modes, price_selection: str = "point",
                                               compute_ranges))
         except EngineError as exc:
             reports.append(ModeReport(
-                mode, price_selection, {"mode": mode, "error": str(exc)},
-                error=str(exc), error_code=_exit_code(exc)))
+                price_selection, {"mode": mode, "error": str(exc)},
+                error_code=_exit_code(exc)))
     return RunReport(modes=tuple(reports))
 
 

@@ -115,13 +115,21 @@ def participant_surpluses(results: list[ClearingResult],
 def _pieces(results: list[ClearingResult]) -> list[tuple[int, int, bool]]:
     """The horizon cut at every boundary where the store holds at most
     :data:`AUDIT_EPS`, as 1-based inclusive ``(start, end, closed)`` spans
-    in order; ``closed`` when the store is empty at both ends."""
+    in order; ``closed`` when the store is empty at both ends. Adjacent
+    open pieces (one empty boundary, none at either end) form one stretch."""
     if not results:
         return []
     contents = [results[0].initial_content] + [r.final_content for r in results]
     empty = [c <= AUDIT_EPS for c in contents]
     cuts = [0] + [i for i in range(1, len(results)) if empty[i]] + [len(results)]
-    return [(a + 1, b, empty[a] and empty[b]) for a, b in zip(cuts, cuts[1:])]
+    pieces: list[tuple[int, int, bool]] = []
+    for a, b in zip(cuts, cuts[1:]):
+        closed = empty[a] and empty[b]
+        if not closed and pieces and not pieces[-1][2]:
+            pieces[-1] = (pieces[-1][0], b, False)
+        else:
+            pieces.append((a + 1, b, closed))
+    return pieces
 
 
 def detect_cycles(results: list[ClearingResult]) -> list[tuple[int, int]]:

@@ -166,6 +166,8 @@ def _number(value, path: str) -> float:
 
 
 def _integer(value, path: str) -> int:
+    if isinstance(value, float) and math.isinf(value):
+        raise ScenarioError(f"{path}: integer out of range")
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{path}: expected an integer, got {value!r}")
     return value

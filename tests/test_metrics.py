@@ -17,8 +17,10 @@ from artifact.metrics import (
     participant_surpluses,
     social_welfare,
 )
+from artifact.model import Scenario, StorageSpec
 from artifact.runner import run_scenario
 from helpers import (
+    interval,
     table1_scenario,
     table4_scenario,
     table5_scenario,
@@ -177,6 +179,25 @@ class TestCostRecoveryAudit:
         assert rep.verdict == VERDICT_INDETERMINATE
         assert rep.storage_surplus == approx(-6.5)
         assert rep.social_welfare == approx(25.5)
+
+    def test_open_stretches_on_either_side_of_one_empty_boundary(self):
+        # The store starts with 1 MWh, empties at the one interior boundary
+        # and ends holding 1 MWh again: no closed cycle, so both intervals
+        # form one open stretch.
+        scn = Scenario(StorageSpec(capacity=2.5, initial_energy=1.0), (
+            interval([10.0], [2.0], [[12.0]], [[2.0]], 0.0),
+            interval([10.0], [0.0], [[2.0]], [[2.0]], 1.0),
+        ), "split_end_level")
+        results, bids = list(run_scenario(scn).results), list(scn.intervals)
+        assert [res.final_content for res in results] == approx([0.0, 1.0])
+        assert detect_cycles(results) == []
+        reports = cost_recovery_audit(results, bids)
+        assert [(r.start, r.end, r.closed, r.verdict) for r in reports] == [
+            (1, 2, False, VERDICT_INDETERMINATE)]
+        storage = sum(storage_lines(participant_surpluses(results, bids)))
+        assert reports[0].storage_surplus == approx(storage)
+        assert reports[0].social_welfare == approx(
+            social_welfare(results, bids, (1, 2)))
 
     def test_vlb_cycle_never_fails_at_range_min(self):
         results, bids = run(table1_scenario, "vlb")

@@ -92,6 +92,12 @@ class TestHostileInput:
         assert "storage.capacity: must be a finite nonnegative energy" \
             in exc.value.diagnostics
 
+    def test_integer_field_beyond_the_digit_limit(self):
+        text = MINIMAL.replace('"n_periods": 1', '"n_periods": ' + "9" * 5000)
+        with pytest.raises(ScenarioError,
+                           match=r"intervals\[0\]\.n_periods: integer out of range"):
+            parse_scenario(text)
+
     def test_integer_beyond_float_range(self):
         text = MINIMAL.replace('"capacity": 2.5', '"capacity": 1' + "0" * 400)
         with pytest.raises(ScenarioError) as exc:
