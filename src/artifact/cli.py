@@ -188,6 +188,8 @@ def compare(scenario: Scenario, modes, price_selection: str = "point",
     Modes run in their canonical order regardless of the order given.
     """
     wanted = list(dict.fromkeys(modes))
+    if not wanted:
+        raise ScenarioError(f"no mode given; valid: {', '.join(MODES)}")
     unknown = [m for m in wanted if m not in MODES]
     if unknown:
         raise ScenarioError(
@@ -432,7 +434,7 @@ def main(argv=None) -> int:
         return _EXIT_INVALID
     try:
         scenario = _load_scenario(args.scenario)
-        if args.compare:
+        if args.compare is not None:
             modes = [m.strip() for m in args.compare.split(",") if m.strip()]
         else:
             modes = [args.mode or scenario.mode]
@@ -445,7 +447,7 @@ def main(argv=None) -> int:
             print(f"  - {diag}", file=sys.stderr)
         return _exit_code(exc)
     failed = [m for m in report.modes if m.error is not None]
-    if failed and not args.compare:
+    if failed and args.compare is None:
         # a single-mode run that fails writes no report
         print(f"error: {failed[0].error}", file=sys.stderr)
         return failed[0].error_code

@@ -183,10 +183,6 @@ class PhaseStats:
     factorizations: int = 0
     # verdicts reached on an updated factor and taken again at a fresh one
     confirmations: int = 0
-    # pricings where a movable nonbasic |rc| lies within 10x of _PIVOT_EPS
-    near_tie_pricings: int = 0
-    # ratio tests whose winner was settled by the _RATIO_TIE rule
-    ratio_ties: int = 0
     # pivots whose step is 0: the basis changes, the point does not
     degenerate_pivots: int = field(default=0, compare=False)
 
@@ -289,9 +285,8 @@ def _factor(A: np.ndarray, basis: np.ndarray):
     B = A[:, basis]
     lu, piv = lu_factor(B, check_finite=False)
     diag = np.abs(np.diag(lu))
-    scale = max(1.0, float(np.max(np.abs(B))) if B.size else 1.0)
-    small = diag.size and float(np.min(diag)) < _SINGULAR * scale
-    if not np.all(np.isfinite(lu)) or small:
+    scale = max(1.0, float(np.max(np.abs(B))))
+    if not np.all(np.isfinite(lu)) or float(np.min(diag)) < _SINGULAR * scale:
         raise LpNumericalError("singular basis matrix")
     return lu, piv
 
@@ -347,36 +342,30 @@ def _pricing(std: _Standard, A: np.ndarray):
 
 
 def _entering(rc: np.ndarray, state: np.ndarray, fixed: np.ndarray
-              ) -> tuple[int, float, bool]:
+              ) -> tuple[int, float]:
     """Bland's rule: the lowest-index movable nonbasic column whose reduced
     cost improves the objective, and its direction (+1 up, -1 down); -1 at
-    optimality. Also tells whether a movable column's ``|rc|`` lies within
-    10x of ``_PIVOT_EPS``, where rounding could change the choice."""
-    movable = (state != _BASIC) & ~fixed
-    eligible = movable & (((state == _AT_LOWER) & (rc < -_PIVOT_EPS))
-                          | ((state == _AT_UPPER) & (rc > _PIVOT_EPS))
-                          | ((state == _FREE) & (np.abs(rc) > _PIVOT_EPS)))
-    size = np.abs(rc[movable])
-    near_tie = bool(np.any((size >= 0.1 * _PIVOT_EPS)
-                           & (size <= 10.0 * _PIVOT_EPS)))
+    optimality."""
+    eligible = ~fixed & (((state == _AT_LOWER) & (rc < -_PIVOT_EPS))
+                         | ((state == _AT_UPPER) & (rc > _PIVOT_EPS))
+                         | ((state == _FREE) & (np.abs(rc) > _PIVOT_EPS)))
     first = np.flatnonzero(eligible)
     if not first.size:
-        return -1, 0.0, near_tie
+        return -1, 0.0
     q = int(first[0])
     if state[q] == _AT_LOWER:
-        return q, 1.0, near_tie
+        return q, 1.0
     if state[q] == _AT_UPPER:
-        return q, -1.0, near_tie
-    return q, (1.0 if rc[q] < 0 else -1.0), near_tie
+        return q, -1.0
+    return q, (1.0 if rc[q] < 0 else -1.0)
 
 
 def _leaving(w: np.ndarray, sigma: float, x: np.ndarray, lb: np.ndarray,
              ub: np.ndarray, basis: np.ndarray, t_best: float
-             ) -> tuple[float, int, bool]:
+             ) -> tuple[float, int]:
     """Ratio test of a step of the entering column in direction ``sigma``
     against its own bound flip at distance ``t_best``. Returns (step, row of
-    the first blocking basic column or -1 for the flip, whether the winner
-    was settled by the ``_RATIO_TIE`` rule).
+    the first blocking basic column or -1 for the flip).
 
     Rows block in row order: a ratio more than ``_RATIO_TIE`` below the
     best so far wins, and one within ``_RATIO_TIE`` of it wins when its
@@ -389,13 +378,13 @@ def _leaving(w: np.ndarray, sigma: float, x: np.ndarray, lb: np.ndarray,
     tk = np.where(up[rows], (x[cols] - lb[cols]) / swr,
                   (ub[cols] - x[cols]) / -swr)
     tk = np.where(tk < 0.0, 0.0, tk)
-    r_best, j_best, tied = -1, -1, False
+    r_best, j_best = -1, -1
     for k, tkk, jk in zip(rows.tolist(), tk.tolist(), cols.tolist()):
         if tkk < t_best - _RATIO_TIE:
-            t_best, r_best, j_best, tied = tkk, k, jk, False
+            t_best, r_best, j_best = tkk, k, jk
         elif tkk <= t_best + _RATIO_TIE and (r_best == -1 or jk < j_best):
-            t_best, r_best, j_best, tied = min(t_best, tkk), k, jk, True
-    return t_best, r_best, tied
+            t_best, r_best, j_best = min(t_best, tkk), k, jk
+    return t_best, r_best
 
 
 def _run_phase(std: _Standard, A: np.ndarray, c: np.ndarray, lb: np.ndarray,
@@ -426,13 +415,12 @@ def _run_phase(std: _Standard, A: np.ndarray, c: np.ndarray, lb: np.ndarray,
             stats.factorizations += 1
         y = _btran(lu, etas, c[basis]) if m else np.zeros(0)
         rc = price(c, y)
-        q, sigma, near_tie = _entering(rc, state, fixed)
-        stats.near_tie_pricings += near_tie
+        q, sigma = _entering(rc, state, fixed)
         if q >= 0:
             w = _ftran(lu, etas, A[:, q]) if m else np.zeros(0)
             flip = (ub[q] - lb[q] if lb[q] > -math.inf and ub[q] < math.inf
                     else math.inf)
-            t_best, r_best, tied = _leaving(w, sigma, x, lb, ub, basis, flip)
+            t_best, r_best = _leaving(w, sigma, x, lb, ub, basis, flip)
         if q < 0 or not math.isfinite(t_best):
             if etas:
                 # confirm the verdict at a fresh factorization
@@ -440,7 +428,6 @@ def _run_phase(std: _Standard, A: np.ndarray, c: np.ndarray, lb: np.ndarray,
                 stats.confirmations += 1
                 continue
             return (OPTIMAL if q < 0 else UNBOUNDED), y, stats
-        stats.ratio_ties += tied
         # apply the step
         if m:
             x[basis] -= sigma * t_best * w
@@ -641,13 +628,12 @@ def check_certificates(lp: LinearProgram,
     x = np.array([solution.primal[name] for name in lp.variable_names], dtype=float)
     y_user = np.array([solution.duals[label] for label in lp.constraint_labels],
                       dtype=float)
-    return _certify(std, x, std.sign * y_user, EPS)
+    return _certify(std, x, std.sign * y_user)
 
 
-def _certify(std: _Standard, x: np.ndarray, y: np.ndarray,
-             tolerance: float) -> CertificateReport:
+def _certify(std: _Standard, x: np.ndarray, y: np.ndarray) -> CertificateReport:
     """Certificate residuals of structural values ``x`` and internal
-    min-form duals ``y`` against one standard form."""
+    min-form duals ``y`` against one standard form, judged to ``EPS``."""
     n, m = std.n, std.m
     # recover slack values from row activities
     slack = std.b - std.A[:, :n] @ x if m else np.zeros(0)
@@ -675,7 +661,7 @@ def _certify(std: _Standard, x: np.ndarray, y: np.ndarray,
         dual_residual=float(dual_res),
         complementarity_residual=float(comp_res),
         duality_gap=float(gap),
-        tolerance=tolerance,
+        tolerance=EPS,
     )
 
 
@@ -706,7 +692,7 @@ def solve(lp: LinearProgram, start: ArrayLike | None = None) -> LpSolution:
     duals = {label: float(std.sign * y[i])
              for i, label in enumerate(lp.constraint_labels)}
     objective = float(np.dot(np.asarray(lp._obj, dtype=float), x))
-    report = _certify(std, x, y, EPS)
+    report = _certify(std, x, y)
     if not report.ok:
         raise LpNumericalError(
             f"optimality certificates failed for {lp.name!r}: {report}")

@@ -105,11 +105,15 @@ def participant_surpluses(results: list[ClearingResult],
             surplus = dt * sum((prices[t] - g.cost[t]) * p[t]
                                for t in range(result.n_periods))
             lines.append(SurplusLine(g.id, "generator", i, surplus))
-        storage_surplus = -dt * sum(
-            prices[t] * result.storage_injection[t]
-            for t in range(result.n_periods))
-        lines.append(SurplusLine(STORAGE_ID, "storage", i, storage_surplus))
+        lines.append(SurplusLine(STORAGE_ID, "storage", i,
+                                 _storage_surplus(result, prices)))
     return lines
+
+
+def _storage_surplus(result: ClearingResult, prices) -> float:
+    """The storage's settlement over one interval at ``prices``."""
+    return -result.delta_t * sum(prices[t] * result.storage_injection[t]
+                                 for t in range(result.n_periods))
 
 
 def _pieces(results: list[ClearingResult]) -> list[tuple[int, int, bool]]:
@@ -169,8 +173,8 @@ def cost_recovery_audit(results: list[ClearingResult],
     uniform price each period.
     """
     _check_alignment(results, bids)
-    storage = [ln.surplus for ln in participant_surpluses(
-        results, bids, price_selection) if ln.kind == "storage"]
+    storage = [_storage_surplus(r, _selected_prices(r, price_selection))
+               for r in results]
     reports = []
     for start, end, closed in _pieces(results):
         surplus = sum(storage[start - 1:end])

@@ -40,6 +40,9 @@ MODEL_EPS = 1e-9
 #: bucket or ledger total may miss its cleared value by it
 AUDIT_EPS = 1e-6
 
+#: longest echo of an offending value in a message, in characters
+_ECHO = 60
+
 
 def snap_zero(v: float) -> float:
     """``v`` as a float, or 0.0 when its magnitude is below ``MODEL_EPS``."""
@@ -156,9 +159,16 @@ def _json_int(digits: str) -> int | float:
         return float(digits)
 
 
+def _echo(value) -> str:
+    """``value``'s repr for a message, cut after ``_ECHO`` characters."""
+    text = repr(value)
+    return (text if len(text) <= _ECHO
+            else f"{text[:_ECHO]}... (cut from {len(text)} characters)")
+
+
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}: expected a number, got {value!r}")
+        raise ScenarioError(f"{path}: expected a number, got {_echo(value)}")
     try:
         return float(value)
     except OverflowError:  # reads as ±inf, as 1e400 does, for validation
@@ -169,25 +179,25 @@ def _integer(value, path: str) -> int:
     if isinstance(value, float) and math.isinf(value):
         raise ScenarioError(f"{path}: integer out of range")
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}: expected an integer, got {value!r}")
+        raise ScenarioError(f"{path}: expected an integer, got {_echo(value)}")
     return value
 
 
 def _string(value, path: str) -> str:
     if not isinstance(value, str):
-        raise ScenarioError(f"{path}: expected a string, got {value!r}")
+        raise ScenarioError(f"{path}: expected a string, got {_echo(value)}")
     return value
 
 
 def _array(value, path: str) -> list:
     if not isinstance(value, list):
-        raise ScenarioError(f"{path}: expected an array, got {value!r}")
+        raise ScenarioError(f"{path}: expected an array, got {_echo(value)}")
     return value
 
 
 def _object(value, path: str) -> dict:
     if not isinstance(value, dict):
-        raise ScenarioError(f"{path}: expected an object, got {value!r}")
+        raise ScenarioError(f"{path}: expected an object, got {_echo(value)}")
     return value
 
 
@@ -321,43 +331,39 @@ def _interval_doc(iv: IntervalSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _finite(x: float) -> bool:
-    return math.isfinite(x)
-
-
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Return one diagnostic per violated invariant (empty when valid)."""
     out: list[str] = []
     sto = scenario.storage
-    if not _finite(sto.capacity) or sto.capacity < 0:
+    if not math.isfinite(sto.capacity) or sto.capacity < 0:
         out.append("storage.capacity: must be a finite nonnegative energy")
-    if not _finite(sto.initial_energy) or sto.initial_energy < 0:
+    if not math.isfinite(sto.initial_energy) or sto.initial_energy < 0:
         out.append("storage.initial_energy: must be a finite nonnegative energy")
-    elif _finite(sto.capacity) and sto.initial_energy > sto.capacity + MODEL_EPS:
+    elif (math.isfinite(sto.capacity)
+          and sto.initial_energy > sto.capacity + MODEL_EPS):
         out.append("storage.initial_energy: exceeds storage.capacity")
     if scenario.mode not in MODES:
         out.append(f"mode: must be one of {', '.join(MODES)}")
-    if not (_finite(scenario.discount_rate)
+    if not (math.isfinite(scenario.discount_rate)
             and 0.0 <= scenario.discount_rate < 1.0):
         out.append("discount_rate: must lie in [0, 1)")
     for i, b in enumerate(scenario.initial_ledger.buckets):
         path = f"initial_ledger[{i}]"
-        if not _finite(b.price) or b.price <= 0:
+        if not math.isfinite(b.price) or b.price <= 0:
             out.append(f"{path}.price: must be a finite positive price")
-        if not _finite(b.quantity) or b.quantity <= 0:
+        if not math.isfinite(b.quantity) or b.quantity <= 0:
             out.append(f"{path}.quantity: must be a finite positive energy")
     total = scenario.initial_ledger.total
-    if _finite(sto.capacity) and total > sto.capacity + MODEL_EPS:
+    if math.isfinite(sto.capacity) and total > sto.capacity + MODEL_EPS:
         out.append("initial_ledger: total stored energy exceeds storage.capacity")
     if not scenario.intervals:
         out.append("intervals: at least one interval is required")
-    ids_seen: set[str] = set()
     for i, iv in enumerate(scenario.intervals):
         path = f"intervals[{i}]"
         n = iv.grid.n_periods
         if n < 1:
             out.append(f"{path}.n_periods: must be at least 1")
-        if not _finite(iv.grid.delta_t) or iv.grid.delta_t <= 0:
+        if not math.isfinite(iv.grid.delta_t) or iv.grid.delta_t <= 0:
             out.append(f"{path}.delta_t: must be a positive duration")
         for j, ld in enumerate(iv.loads):
             out.extend(_check_bid(f"{path}.loads[{j}]", ld.id, ld.utility,
@@ -371,13 +377,14 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 out.append(f"{path}: participant id 'storage' is reserved")
         dup = {pid for pid in interval_ids if interval_ids.count(pid) > 1}
         for pid in sorted(dup):
-            out.append(f"{path}: duplicate participant id {pid!r}")
-        ids_seen.update(interval_ids)
-        if not _finite(iv.end_level) or iv.end_level < 0:
+            out.append(f"{path}: duplicate participant id {_echo(pid)}")
+        if not math.isfinite(iv.end_level) or iv.end_level < 0:
             out.append(f"{path}.end_level: must be a finite nonnegative energy")
-        elif _finite(sto.capacity) and iv.end_level > sto.capacity + MODEL_EPS:
+        elif (math.isfinite(sto.capacity)
+              and iv.end_level > sto.capacity + MODEL_EPS):
             out.append(f"{path}.end_level: exceeds storage.capacity")
-        if iv.penalty_price is not None and not _finite(iv.penalty_price):
+        if (iv.penalty_price is not None
+                and not math.isfinite(iv.penalty_price)):
             out.append(f"{path}.penalty_price: must be finite")
         if scenario.mode == "split_penalty" and iv.penalty_price is None:
             out.append(f"{path}.penalty_price: required in split_penalty mode")
@@ -401,9 +408,9 @@ def _check_bid(path: str, pid: str, prices: tuple[float, ...],
         out.append(f"{path}.max: expected {n_periods} entries, "
                    f"got {len(quantities)}")
     for k, v in enumerate(prices):
-        if not _finite(v):
+        if not math.isfinite(v):
             out.append(f"{path}.{price_field}[{k}]: must be finite")
     for k, v in enumerate(quantities):
-        if not _finite(v) or v < 0:
+        if not math.isfinite(v) or v < 0:
             out.append(f"{path}.max[{k}]: must be finite and nonnegative")
     return out

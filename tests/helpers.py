@@ -1,6 +1,14 @@
 """Shared builders for the test suite: the four bundled fixture scenarios
 built programmatically (so tests can vary mode and discount), plus seeded
-random generators for the property suites."""
+random generators for the property suites.
+
+``random_interval`` is not shared with ``perfbench/scenarios.py``'s
+``scenario_document``, although both draw similar bids. The benchmark's
+generator complements the bid counts of each pair of intervals and chains
+each end level to the targets the previous level can reach, so the two
+differ draw for draw. Merging them would change every seeded test here and
+every recorded benchmark scenario.
+"""
 
 from __future__ import annotations
 

@@ -91,6 +91,31 @@ class TestExitCodes:
         assert code == 2
         assert "psychic" in err
 
+    @pytest.mark.parametrize("modes", [",", ""], ids=["comma", "empty"])
+    def test_empty_compare_list_exits_two(self, capsys, modes):
+        code, out, err = invoke(capsys, "--scenario", "table1",
+                                "--compare", modes)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no mode given")
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("loads", "x" * 10**6, "intervals[0].loads"),
+        ("delta_t", [0] * 10**6, "intervals[0].delta_t"),
+        ("end_level", {f"k{i}": i for i in range(10**5)},
+         "intervals[0].end_level"),
+    ], ids=["long_string", "long_array", "large_object"])
+    def test_long_offending_value_is_cut(self, capsys, tmp_path, field,
+                                         value, named):
+        doc = json.loads(TABLE1)
+        doc["intervals"][0][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "--scenario", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {named}: expected ")
+        assert "cut from" in err
+        assert len(err.encode()) < 300
+
     def test_invalid_mode_in_compare_exits_two(self, capsys):
         # table4 has no penalty price: split_penalty is invalid input there,
         # as in a single-mode run, while the other modes clear

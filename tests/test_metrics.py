@@ -6,9 +6,17 @@ test_clearing.py (price times quantity, interval by interval).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+import artifact.cli
+import artifact.metrics
+from artifact.cli import compare
+from artifact.errors import InfeasibleError
 from artifact.metrics import (
+    PRICE_SELECTIONS,
     VERDICT_FAIL,
     VERDICT_INDETERMINATE,
     VERDICT_PASS,
@@ -17,10 +25,12 @@ from artifact.metrics import (
     participant_surpluses,
     social_welfare,
 )
-from artifact.model import Scenario, StorageSpec
+from artifact.model import MODES, Scenario, StorageSpec
 from artifact.runner import run_scenario
 from helpers import (
     interval,
+    random_ledger,
+    random_vlb_scenario,
     table1_scenario,
     table4_scenario,
     table5_scenario,
@@ -220,3 +230,53 @@ class TestDecompositionIdentity:
                         if start <= ln.interval_index <= end)
             assert total == approx(
                 social_welfare(results, bids, (start, end))), (mode, selection)
+
+
+class TestSingleSettlement:
+    """The audit settles only the storage, and its spans carry exactly the
+    storage lines of the full settlement."""
+
+    def test_audit_matches_storage_lines(self):
+        rng = np.random.default_rng(20261018)
+        audited = {(start, closed): 0 for closed in (False, True)
+                   for start in ("empty start", "stocked start")}
+        for k in range(24):
+            scn = random_vlb_scenario(rng, n_intervals=3, max_periods=2)
+            start = "stocked start" if k % 2 else "empty start"
+            if k % 2:
+                cap = scn.storage.capacity
+                ledger = random_ledger(rng, cap)
+                while not ledger.buckets:
+                    ledger = random_ledger(rng, cap)
+                scn = replace(scn, storage=StorageSpec(cap, ledger.total),
+                              initial_ledger=ledger)
+            for mode in MODES:
+                try:
+                    run_ = run_scenario(replace(scn, mode=mode))
+                except InfeasibleError:
+                    continue
+                results, bids = list(run_.results), list(scn.intervals)
+                for selection in PRICE_SELECTIONS:
+                    lines = participant_surpluses(results, bids, selection)
+                    for rep in cost_recovery_audit(results, bids, selection):
+                        want = sum([ln.surplus for ln in lines
+                                    if ln.kind == "storage"
+                                    and rep.start <= ln.interval_index
+                                    <= rep.end])
+                        assert rep.storage_surplus == want, (k, mode,
+                                                             selection)
+                        audited[start, rep.closed] += 1
+        assert min(audited.values()) >= 10, audited
+
+    def test_one_mode_settles_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return participant_surpluses(*args, **kwargs)
+
+        monkeypatch.setattr(artifact.cli, "participant_surpluses", counted)
+        monkeypatch.setattr(artifact.metrics, "participant_surpluses",
+                            counted)
+        compare(table1_scenario("vlb"), ["vlb"])
+        assert len(calls) == 1

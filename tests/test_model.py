@@ -213,6 +213,17 @@ class TestValidation:
         scn = Scenario(StorageSpec(2.5, 0.0), (dup_iv,), "vlb")
         assert any("duplicate" in d for d in validate_scenario(scn))
 
+    def test_long_duplicate_id_is_cut(self):
+        doc = json.loads(MINIMAL)
+        gen = doc["intervals"][0]["generators"][0]
+        gen["id"] = "g" * 10**6
+        doc["intervals"][0]["generators"].append(gen)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(json.dumps(doc))
+        assert err.value.diagnostics == (
+            "intervals[0]: duplicate participant id '" + "g" * 59
+            + "... (cut from 1000002 characters)",)
+
     def test_period_count_mismatch(self):
         bad = MINIMAL.replace('"utility": [12.0]', '"utility": [12.0, 1.0]')
         with pytest.raises(ScenarioError) as err:
