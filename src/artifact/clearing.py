@@ -18,7 +18,7 @@ social welfare lives in :mod:`artifact.metrics`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import lp as lpmod
 from . import storage_ledger
@@ -33,7 +33,8 @@ class ClearingResult:
     Per-period collections are indexed 0..n_periods-1; dispatch is stored as
     one mapping per period from participant id to MW. Fields that do not
     apply to a mode are None. ``storage_injection`` is the net charge in MW
-    (for vlb: intra charge minus total bucket discharge).
+    (for vlb: intra charge minus total bucket discharge). A vlb result holds
+    the ``ledger`` it was cleared against, one bucket per ``inter_*`` row.
     """
 
     mode: str
@@ -52,9 +53,7 @@ class ClearingResult:
     intra_level: tuple[float, ...] | None = None
     inter_discharge: tuple[tuple[float, ...], ...] | None = None
     inter_level: tuple[tuple[float, ...], ...] | None = None
-    bucket_prices: tuple[float, ...] | None = None
-    bucket_quantities: tuple[float, ...] | None = None
-    bucket_births: tuple[int, ...] | None = None
+    ledger: ValueLedger | None = None
     lp: lpmod.LinearProgram | None = field(default=None, repr=False, compare=False)
     lp_solution: lpmod.LpSolution | None = field(default=None, repr=False,
                                                  compare=False)
@@ -205,8 +204,7 @@ def clear_split_penalty(interval: IntervalSpec, storage: StorageSpec,
 
 
 def clear_ideal(storage: StorageSpec, intervals: tuple[IntervalSpec, ...],
-                compute_ranges: bool = True,
-                name: str = "ideal") -> ClearingResult:
+                compute_ranges: bool = True) -> ClearingResult:
     """Clear the whole horizon in one LP with perfect foresight. The end
     level binds only at the final period, using the last interval's target."""
     if not intervals:
@@ -215,18 +213,17 @@ def clear_ideal(storage: StorageSpec, intervals: tuple[IntervalSpec, ...],
     if len(dts) > 1:
         raise ScenarioError("clear_ideal requires a shared delta_t")
     return _clear_chain("ideal", intervals, storage, storage.initial_energy,
-                        compute_ranges, name)
+                        compute_ranges, "ideal")
 
 
-def dispatch_welfare(result: ClearingResult, interval: IntervalSpec,
-                     t_offset: int = 0) -> float:
+def dispatch_welfare(result: ClearingResult, interval: IntervalSpec) -> float:
     """Utility minus cost of the dispatched quantities over the interval's
     periods, times delta_t."""
     dt = result.delta_t
     total = 0.0
     for t in range(interval.grid.n_periods):
-        row_l = result.load_dispatch[t_offset + t]
-        row_g = result.gen_dispatch[t_offset + t]
+        row_l = result.load_dispatch[t]
+        row_g = result.gen_dispatch[t]
         for ld in interval.loads:
             total += dt * ld.utility[t] * row_l.get(ld.id, 0.0)
         for g in interval.generators:
@@ -253,11 +250,9 @@ def slice_ideal(result: ClearingResult,
             prices=result.prices[sl],
             price_ranges=None if result.price_ranges is None
             else result.price_ranges[sl],
-            level=level,
-            objective=dispatch_welfare(result, iv, offset),
-            initial_content=prev_content,
+            level=level, objective=0.0, initial_content=prev_content,
             final_content=level[-1])
-        slices.append(piece)
+        slices.append(replace(piece, objective=dispatch_welfare(piece, iv)))
         prev_content = level[-1]
         offset += T
     return slices
@@ -340,10 +335,7 @@ def clear_vlb(interval: IntervalSpec, storage: StorageSpec,
         prices=prices, price_ranges=ranges,
         intra_charge=intra_charge, intra_level=intra_level,
         inter_discharge=inter_discharge, inter_level=inter_level,
-        bucket_prices=tuple(b.price for b in buckets),
-        bucket_quantities=tuple(b.quantity for b in buckets),
-        bucket_births=tuple(b.birth_interval for b in buckets),
-        objective=sol.objective, initial_content=ledger.total,
+        ledger=ledger, objective=sol.objective, initial_content=ledger.total,
         final_content=snap_zero(intra_level[-1]
                              + sum(row[-1] for row in inter_level)),
         lp=prog, lp_solution=sol)

@@ -111,9 +111,10 @@ def _interval_summary(result, index: int) -> dict:
         doc["intra_level"] = list(result.intra_level)
         doc["inter_discharge"] = [list(row) for row in result.inter_discharge]
         doc["inter_level"] = [list(row) for row in result.inter_level]
-        doc["bucket_prices"] = list(result.bucket_prices)
-        doc["bucket_quantities"] = list(result.bucket_quantities)
-        doc["bucket_births"] = list(result.bucket_births)
+        buckets = result.ledger.buckets
+        doc["bucket_prices"] = [b.price for b in buckets]
+        doc["bucket_quantities"] = [b.quantity for b in buckets]
+        doc["bucket_births"] = [b.birth_interval for b in buckets]
     return doc
 
 

@@ -711,9 +711,9 @@ def dual_range(lp: LinearProgram, solution: LpSolution,
     optimal basis and hence a vertex of the face, so phase 2 starts there
     and phase 1 is skipped.
 
-    Both endpoints are attained by optimal dual solutions; the published dual
-    lies inside the returned interval. A face that is unbounded in either
-    direction raises LpNumericalError.
+    Finite endpoints are attained by optimal dual solutions; the published
+    dual lies inside the returned interval. A face that is unbounded in a
+    direction gives that endpoint as ``-math.inf`` or ``math.inf``.
     """
     if solution.status != OPTIMAL:
         raise ValueError("dual_range requires an optimal solution")
@@ -730,6 +730,9 @@ def dual_range(lp: LinearProgram, solution: LpSolution,
         face.sense = "min" if (direction == "min") != (sgn < 0) else "max"
         face.name = f"{name}:{direction}"
         sol = solve(face, start=start)
+        if sol.status == UNBOUNDED:
+            ends.append(-math.inf if direction == "min" else math.inf)
+            continue
         if sol.status != OPTIMAL:
             raise LpNumericalError(
                 f"dual face for {lp.name!r} is {sol.status}; cannot range "

@@ -17,9 +17,11 @@ are reported as INDETERMINATE rather than passed or failed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .clearing import ClearingResult, dispatch_welfare
+from .errors import ScenarioError
 from .model import AUDIT_EPS, IntervalSpec
 
 PRICE_SELECTIONS = ("point", "range_min", "range_max")
@@ -66,8 +68,10 @@ def _check_alignment(results, bids) -> None:
             f"got {len(results)} results for {len(bids)} intervals")
 
 
-def _selected_prices(result: ClearingResult,
-                     price_selection: str) -> tuple[float, ...]:
+def _selected_prices(result: ClearingResult, price_selection: str,
+                     index: int) -> tuple[float, ...]:
+    """The prices of interval ``index`` (1-based) under ``price_selection``;
+    an infinite range endpoint settles nothing and raises ScenarioError."""
     if price_selection not in PRICE_SELECTIONS:
         raise ValueError(
             f"price_selection must be one of {PRICE_SELECTIONS}, "
@@ -79,7 +83,13 @@ def _selected_prices(result: ClearingResult,
             "price ranges were not computed for this result; "
             "clear with compute_ranges=True to audit range endpoints")
     side = 0 if price_selection == "range_min" else 1
-    return tuple(r[side] for r in result.price_ranges)
+    prices = tuple(r[side] for r in result.price_ranges)
+    for t, price in enumerate(prices, start=1):
+        if math.isinf(price):
+            raise ScenarioError(
+                f"interval {index}, period {t}: the price range is unbounded "
+                f"({price}), so {price_selection} cannot settle it")
+    return prices
 
 
 def participant_surpluses(results: list[ClearingResult],
@@ -94,7 +104,7 @@ def participant_surpluses(results: list[ClearingResult],
     lines: list[SurplusLine] = []
     for i, (result, interval) in enumerate(zip(results, bids), start=1):
         dt = result.delta_t
-        prices = _selected_prices(result, price_selection)
+        prices = _selected_prices(result, price_selection, i)
         for ld in interval.loads:
             d = result.load(ld.id)
             surplus = dt * sum((ld.utility[t] - prices[t]) * d[t]
@@ -173,8 +183,8 @@ def cost_recovery_audit(results: list[ClearingResult],
     uniform price each period.
     """
     _check_alignment(results, bids)
-    storage = [_storage_surplus(r, _selected_prices(r, price_selection))
-               for r in results]
+    storage = [_storage_surplus(r, _selected_prices(r, price_selection, i))
+               for i, r in enumerate(results, start=1)]
     reports = []
     for start, end, closed in _pieces(results):
         surplus = sum(storage[start - 1:end])

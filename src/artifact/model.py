@@ -78,7 +78,8 @@ class GeneratorBid:
 @dataclass(frozen=True)
 class StorageSpec:
     """The single storage system: energy capacity and the initial content
-    used by the ideal/split modes (vlb derives content from the ledger)."""
+    the ideal/split modes start from. vlb starts from the scenario's
+    ``initial_ledger`` instead; nothing checks that the two agree."""
 
     capacity: float
     initial_energy: float

@@ -22,21 +22,25 @@ class ScenarioRun:
     """Outcome of clearing a scenario.
 
     ``results`` holds one ClearingResult per market interval. For vlb,
-    ``ledgers_before`` holds the (already discounted) ledger each interval
-    was cleared against and ``final_ledger`` the state after the last
-    update; both are empty/None otherwise. For ideal, ``full_result`` is the
-    single whole-horizon solution the per-interval views were cut from.
+    each result holds the (already discounted) ledger its interval was
+    cleared against, and ``final_ledger`` is the state after the last
+    update; None otherwise. For ideal, ``full_result`` is the single
+    whole-horizon solution the per-interval views were cut from.
     """
 
     scenario: Scenario
     results: tuple[clearing.ClearingResult, ...]
-    ledgers_before: tuple[ValueLedger, ...] = ()
     final_ledger: ValueLedger | None = None
     full_result: clearing.ClearingResult | None = None
 
     @property
     def mode(self) -> str:
         return self.scenario.mode
+
+    @property
+    def ledgers_before(self) -> tuple[ValueLedger, ...]:
+        """The ledger each vlb interval was cleared against; () otherwise."""
+        return tuple(r.ledger for r in self.results if r.ledger is not None)
 
 
 @contextmanager
@@ -76,20 +80,18 @@ def run_scenario(scenario: Scenario,
         return ScenarioRun(scenario=scenario, results=tuple(results))
     if scenario.mode == "vlb":
         results = []
-        befores = []
         ledger = scenario.initial_ledger
         for i, interval in enumerate(intervals):
             index = i + 1
             if index >= 2:
                 ledger = apply_discount(ledger, scenario.discount_rate,
                                         index - 1)
-            befores.append(ledger)
             with _interval(index):
                 res = clearing.clear_vlb(interval, storage, ledger,
                                          compute_ranges=compute_ranges,
                                          name=f"vlb[{index}]")
             results.append(res)
-            ledger = update_ledger(ledger, res, index)
+            ledger = update_ledger(res, index)
         return ScenarioRun(scenario=scenario, results=tuple(results),
-                           ledgers_before=tuple(befores), final_ledger=ledger)
+                           final_ledger=ledger)
     raise ValueError(f"unknown mode {scenario.mode!r}")

@@ -1,10 +1,11 @@
 """Value-ledger maintenance between market intervals.
 
 The vlb clearing prices previously stored energy through buckets of a
-:class:`~artifact.model.ValueLedger`. After each interval the ledger is
-updated: discharged energy shrinks its buckets, and — when the interval net
-charged — the fresh charge is split into a break-even local component and a
-moved component via a small LP, the moved energy entering the ledger as new
+:class:`~artifact.model.ValueLedger` and returns it as ``result.ledger``.
+After each interval that ledger is updated from the result alone:
+discharged energy shrinks its buckets, and — when the interval net charged
+— the fresh charge is split into a break-even local component and a moved
+component via a small LP, the moved energy entering the ledger as new
 buckets priced at the clearing prices of the periods in which it was
 charged. An optional discount ages bucket prices between intervals.
 
@@ -87,9 +88,9 @@ def remove_simultaneous(result: ClearingResult) -> ClearingResult:
         level += dt * charge[t]
         ea.append(level)
     ee = []
-    for v in range(V):
+    for v, bucket in enumerate(result.ledger.buckets):
         row = []
-        level = result.bucket_quantities[v]
+        level = bucket.quantity
         for t in range(T):
             level -= dt * discharge[v][t]
             row.append(level)
@@ -107,21 +108,15 @@ def remove_simultaneous(result: ClearingResult) -> ClearingResult:
             for t in range(T)))
 
 
-def apply_net_discharge(ledger: ValueLedger,
-                        result: ClearingResult) -> ValueLedger:
-    """Shrink each bucket by the energy the clearing discharged from it.
-    Emptied buckets (within tolerance) drop out; prices and birth intervals
-    persist."""
+def apply_net_discharge(result: ClearingResult) -> ValueLedger:
+    """Shrink each bucket of the ledger ``result`` was cleared against by
+    the energy the clearing discharged from it. Emptied buckets (within
+    tolerance) drop out; prices and birth intervals persist."""
     if result.mode != "vlb":
         raise ValueError("apply_net_discharge expects a vlb result")
-    buckets = ledger.buckets
-    if (result.bucket_prices != tuple(b.price for b in buckets)
-            or result.bucket_quantities != tuple(b.quantity for b in buckets)
-            or result.bucket_births != tuple(b.birth_interval
-                                             for b in buckets)):
-        raise ValueError("result was not cleared against this ledger")
     remaining = []
-    for bucket, used in zip(buckets, result.total_inter_discharge):
+    for bucket, used in zip(result.ledger.buckets,
+                            result.total_inter_discharge):
         left = bucket.quantity - used
         if left < -AUDIT_EPS:
             raise LpNumericalError(
@@ -186,14 +181,13 @@ def assign_charge_values(result: ClearingResult) -> ValuationSplit:
         moved=tuple(float(sol.primal[f"pmov[{t + 1}]"]) for t in range(T)))
 
 
-def update_ledger(ledger: ValueLedger, result: ClearingResult,
-                  interval_index: int) -> ValueLedger:
-    """Carry the ledger across one cleared interval: shrink discharged
-    buckets, then, if the interval net charged, add the moved share of the
-    charge as buckets born in ``interval_index`` priced at their charging
-    periods' clearing prices (equal prices merge). The updated total must
-    equal the cleared final content."""
-    updated = apply_net_discharge(ledger, result)
+def update_ledger(result: ClearingResult, interval_index: int) -> ValueLedger:
+    """Carry the ledger ``result`` was cleared against across its interval:
+    shrink discharged buckets, then, if the interval net charged, add the
+    moved share of the charge as buckets born in ``interval_index`` priced
+    at their charging periods' clearing prices (equal prices merge). The
+    updated total must equal the cleared final content."""
+    updated = apply_net_discharge(result)
     ea_final = result.intra_level[-1] if result.intra_level else 0.0
     if ea_final > MODEL_EPS:
         split = assign_charge_values(result)

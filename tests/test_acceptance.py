@@ -262,7 +262,7 @@ class TestOverlapRemovalProperties:
             raw_charge = tuple(primal[f"pCa[{t + 1}]"] for t in range(T))
             raw_rows = tuple(
                 tuple(primal[f"pD[{v + 1},{t + 1}]"] for t in range(T))
-                for v in range(len(res.bucket_prices)))
+                for v in range(len(res.ledger.buckets)))
             raw = replace(res, intra_charge=raw_charge,
                           inter_discharge=raw_rows)
 

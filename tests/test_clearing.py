@@ -220,7 +220,7 @@ class TestVlbTable1:
         assert res.prices == approx((5.0,))
         lo, hi = res.price_ranges[0]
         assert (lo, hi) == approx((5.0, 9.0))
-        assert res.bucket_prices == approx((5.0,))
+        assert tuple(b.price for b in res.ledger.buckets) == approx((5.0,))
 
     def test_runner_ledger_lifecycle(self):
         run = run_scenario(table1_scenario("vlb"))

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import replace
 from importlib import resources
 
+import numpy as np
 import pytest
 
-from artifact.cli import FIXTURE_NAMES, main
+from artifact.cli import FIXTURE_NAMES, compare, emit, main
 from artifact.model import parse_scenario, serialize_scenario, validate_scenario
-from helpers import interval, table1_scenario
+from helpers import (interval, random_ledger, random_vlb_scenario,
+                     table1_scenario)
 from artifact.model import Scenario, StorageSpec
 
 
@@ -29,6 +33,17 @@ def infeasible_file(tmp_path):
                   penalty_price=1.0)
     scn = Scenario(StorageSpec(2.5, 0.0), (iv,), "split_end_level")
     path = tmp_path / "infeasible.json"
+    path.write_text(serialize_scenario(scn))
+    return str(path)
+
+
+@pytest.fixture
+def one_sided_file(tmp_path):
+    # the only load bids for 0 MW: nothing bounds the price from below, and
+    # the unused cost-5 generator caps it, so the range is (-inf, 5]
+    iv = interval([12.0], [0.0], [[5.0]], [[2.0]], end_level=0.0)
+    scn = Scenario(StorageSpec(2.5, 0.0), (iv,), "split_end_level")
+    path = tmp_path / "one_sided.json"
     path.write_text(serialize_scenario(scn))
     return str(path)
 
@@ -233,6 +248,64 @@ class TestStructuredFormat:
                            "--format", "structured", "--no-price-ranges")
         doc = json.loads(out)
         assert all(iv["price_ranges"] is None for iv in doc["intervals"])
+
+
+class TestUnboundedPriceRange:
+    @pytest.mark.parametrize("mode", ["ideal", "split_end_level"])
+    def test_point_run_reports_the_open_end(self, capsys, one_sided_file,
+                                            mode):
+        code, out, err = invoke(capsys, "--scenario", one_sided_file,
+                                "--mode", mode)
+        assert (code, err) == (0, "")
+        assert "[-inf, 5]" in out
+        code, out, _ = invoke(capsys, "--scenario", one_sided_file,
+                              "--mode", mode, "--format", "structured")
+        assert code == 0 and "-Infinity" in out
+        assert json.loads(out)["intervals"][0]["price_ranges"] \
+            == [[-math.inf, 5.0]]
+
+    def test_settling_at_the_open_end_exits_two(self, capsys,
+                                                one_sided_file):
+        code, out, err = invoke(capsys, "--scenario", one_sided_file,
+                                "--price-selection", "range_min")
+        assert (code, out) == (2, "")
+        assert "interval 1, period 1" in err
+        code, _, _ = invoke(capsys, "--scenario", one_sided_file,
+                            "--price-selection", "range_max")
+        assert code == 0
+
+
+class TestVlbLedgerRecord:
+    """A vlb interval's bucket keys and its ``before`` ledger snapshot both
+    come from the one ledger its result was cleared against."""
+
+    def test_interval_buckets_are_the_before_snapshot(self):
+        rng = np.random.default_rng(20261021)
+        checked = 0
+        for k in range(30):
+            scn = random_vlb_scenario(rng)
+            if k % 2:
+                scn = replace(scn, initial_ledger=random_ledger(
+                    rng, scn.storage.capacity))
+            report = compare(scn, ["vlb"])
+            if report.modes[0].error is not None:
+                continue
+            run = report.modes[0].run
+            doc = json.loads(emit(report, "structured"))
+            before = [s for s in doc["ledger_snapshots"]
+                      if s["stage"] == "before"]
+            assert len(before) == len(doc["intervals"])
+            for i, (iv, snap) in enumerate(zip(doc["intervals"], before)):
+                assert snap["interval"] == iv["index"] == i + 1
+                buckets = snap["buckets"]
+                assert iv["bucket_prices"] == [b["price"] for b in buckets]
+                assert iv["bucket_quantities"] == [b["quantity"]
+                                                   for b in buckets]
+                assert iv["bucket_births"] == [b["birth_interval"]
+                                               for b in buckets]
+                assert run.ledgers_before[i] is run.results[i].ledger
+            checked += 1
+        assert checked >= 20
 
 
 class TestOutputTargets:

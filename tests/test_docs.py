@@ -1,0 +1,31 @@
+"""The README stays true to the code: its library snippet runs, and its
+flag table lists exactly the command-line options."""
+
+from __future__ import annotations
+
+import re
+from importlib import resources
+from pathlib import Path
+
+from artifact.cli import _parser
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8")
+
+
+def test_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    section = README.split("\n## Library use\n", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    fixture = resources.files("artifact") / "fixtures" / "table1.json"
+    (tmp_path / "scenario.json").write_text(fixture.read_text())
+    monkeypatch.chdir(tmp_path)
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
+def test_flag_table_lists_every_option_once():
+    rows = re.findall(r"^\| `(--[\w-]+)", README, re.M)
+    options = [opt for action in _parser()._actions
+               for opt in action.option_strings
+               if opt not in ("-h", "--help", "--scenario")]
+    assert sorted(rows) == sorted(options)

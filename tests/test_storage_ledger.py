@@ -56,9 +56,7 @@ def vlb_result(charge, prices, discharge=(), buckets=(), dt=1.0):
         final_content=(ea[-1] + sum(r[-1] for r in ee)) if T else 0.0,
         intra_charge=tuple(charge), intra_level=tuple(ea),
         inter_discharge=rows, inter_level=tuple(ee),
-        bucket_prices=tuple(b[0] for b in buckets),
-        bucket_quantities=tuple(b[1] for b in buckets),
-        bucket_births=tuple(b[2] for b in buckets))
+        ledger=ValueLedger(tuple(ValueBucket(*b) for b in buckets)))
 
 
 class TestRemoveSimultaneous:
@@ -121,13 +119,13 @@ class TestApplyNetDischarge:
         ledger = ValueLedger.from_buckets([ValueBucket(5.0, 1.0, 1)])
         res = vlb_result(charge=(0.0,), prices=(5.0,),
                          discharge=((1.0,),), buckets=((5.0, 1.0, 1),))
-        assert apply_net_discharge(ledger, res).buckets == ()
+        assert apply_net_discharge(res).buckets == ()
 
     def test_zero_discharge_keeps_ledger(self):
         ledger = ValueLedger.from_buckets([ValueBucket(5.0, 2.5, 1)])
         res = vlb_result(charge=(0.0,), prices=(5.0,),
                          discharge=((0.0,),), buckets=((5.0, 2.5, 1),))
-        assert apply_net_discharge(ledger, res) == ledger
+        assert apply_net_discharge(res) == ledger
 
     def test_partial_discharge_shrinks_and_drops(self):
         ledger = ValueLedger.from_buckets(
@@ -135,23 +133,16 @@ class TestApplyNetDischarge:
         res = vlb_result(charge=(0.0,), prices=(5.0,),
                          discharge=((1.0,), (1.0,)),
                          buckets=((5.0, 2.5, 1), (7.0, 1.0, 1)))
-        out = apply_net_discharge(ledger, res)
+        out = apply_net_discharge(res)
         assert [(b.price, b.quantity, b.birth_interval)
                 for b in out.buckets] == [(5.0, approx(1.5), 1)]
-
-    def test_mismatched_metadata_rejected(self):
-        ledger = ValueLedger.from_buckets([ValueBucket(5.0, 1.0, 1)])
-        res = vlb_result(charge=(0.0,), prices=(5.0,),
-                         discharge=((0.0,),), buckets=((6.0, 1.0, 1),))
-        with pytest.raises(ValueError, match="not cleared against"):
-            apply_net_discharge(ledger, res)
 
     def test_overdraw_raises(self):
         ledger = ValueLedger.from_buckets([ValueBucket(5.0, 1.0, 1)])
         res = vlb_result(charge=(0.0,), prices=(5.0,),
                          discharge=((1.5,),), buckets=((5.0, 1.0, 1),))
         with pytest.raises(LpNumericalError, match="held only"):
-            apply_net_discharge(ledger, res)
+            apply_net_discharge(res)
 
 
 class TestAssignChargeValues:
@@ -181,20 +172,20 @@ class TestUpdateLedger:
     def test_charge_becomes_bucket(self):
         scn = table1_scenario("vlb")
         res = clear_vlb(scn.intervals[0], STORAGE, ValueLedger())
-        ledger = update_ledger(ValueLedger(), res, interval_index=1)
+        ledger = update_ledger(res, interval_index=1)
         assert [(b.price, b.quantity, b.birth_interval)
                 for b in ledger.buckets] == [(approx(5.0), approx(1.0), 1)]
 
     def test_discharge_empties_bucket(self):
         scn = table1_scenario("vlb")
         first = clear_vlb(scn.intervals[0], STORAGE, ValueLedger())
-        ledger = update_ledger(ValueLedger(), first, 1)
+        ledger = update_ledger(first, 1)
         second = clear_vlb(scn.intervals[1], STORAGE, ledger)
-        assert update_ledger(ledger, second, 2).buckets == ()
+        assert update_ledger(second, 2).buckets == ()
 
     def test_equal_price_periods_merge(self):
         res = vlb_result(charge=(1.0, 1.0), prices=(5.0, 5.0))
-        ledger = update_ledger(ValueLedger(), res, interval_index=3)
+        ledger = update_ledger(res, interval_index=3)
         assert [(b.price, b.quantity, b.birth_interval)
                 for b in ledger.buckets] == [(5.0, approx(2.0), 3)]
 
@@ -207,7 +198,7 @@ class TestUpdateLedger:
     def test_drifted_total_raises(self):
         res = replace(vlb_result((1.0,), (5.0,)), final_content=5.0)
         with pytest.raises(LpNumericalError, match="drifted"):
-            update_ledger(ValueLedger(), res, 1)
+            update_ledger(res, 1)
 
 
 class TestApplyDiscount:
