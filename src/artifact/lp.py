@@ -48,6 +48,16 @@ identity last, and phase 1 appends its artificial diagonal. Each column's
 terms so add up in row order. The basis factorization, the start paths and
 the certificate check use the dense ``A``, so the certificate stays an
 independent check of the pricing.
+
+Ranging builds one dual face per clearing. Every period's range solves the
+same face (Jansen, de Jong, Roos & Terlaky, EJOR 101, 1997), and only its
+objective, a single 1.0 on the period's dual, changes between periods. So
+``dual_range`` keeps the face on the primal LP for the solution it ranges,
+and ``solve`` keeps each LP's standard form and the basis crashed at the
+last ``start``: a clearing of T periods builds, standardizes and crashes its
+face once and runs 2T certified phase-2 solves on it, each from the crash
+at the published dual. Adding a variable or a row to an LP drops what it
+keeps. An LP is a mutable builder, used from one thread at a time.
 """
 
 from __future__ import annotations
@@ -84,7 +94,12 @@ _OPS = ("<=", "==", ">=")
 
 
 class LinearProgram:
-    """Mutable LP builder with named variables and labeled constraints."""
+    """Mutable LP builder with named variables and labeled constraints.
+
+    An LP keeps what its solves can reuse: its standard form (with the
+    basis crashed at the last ``start``) and the dual face of its last
+    ranged solution. Adding a variable or a row drops both. An LP is built
+    and solved from one thread at a time."""
 
     def __init__(self, name: str = "lp", sense: str = "max"):
         if sense not in ("max", "min"):
@@ -98,6 +113,9 @@ class LinearProgram:
         self._obj: list[float] = []
         self._rows: list[tuple[str, dict[str, float], str, float]] = []
         self._labels: set[str] = set()
+        self._standard: _Standard | None = None
+        # (solution, face, sign, start) of the last ranged solution
+        self._face: tuple | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -108,6 +126,7 @@ class LinearProgram:
             raise ValueError(f"duplicate variable name {name!r}")
         if lb > ub:
             raise ValueError(f"variable {name!r} has lb {lb} > ub {ub}")
+        self._standard = self._face = None
         self._index[name] = len(self._names)
         self._names.append(name)
         self._lb.append(float(lb))
@@ -125,6 +144,7 @@ class LinearProgram:
         for name in coeffs:
             if name not in self._index:
                 raise ValueError(f"constraint {label!r} uses unknown variable {name!r}")
+        self._standard = self._face = None
         self._labels.add(label)
         self._rows.append((label, dict(coeffs), op, float(rhs)))
 
@@ -232,16 +252,20 @@ class LpSolution:
 
 class _Standard:
     """Internal min-form arrays: min c.x s.t. A x = b, lb <= x <= ub, where
-    columns [0, n) are the user's variables and [n, n+m) are row slacks."""
+    columns [0, n) are the user's variables and [n, n+m) are row slacks.
+
+    ``c`` and ``sign`` follow the LP's objective and sense as of the last
+    ``set_objective``; the rest holds while the LP gains no variable or
+    row."""
 
     def __init__(self, lp: LinearProgram):
         n = lp.n_variables
         m = lp.n_constraints
         self.n = n
         self.m = m
-        sign = -1.0 if lp.sense == "max" else 1.0
-        self.c = np.concatenate([sign * np.asarray(lp._obj, dtype=float),
-                                 np.zeros(m)])
+        self.set_objective(lp)
+        self._crash_key: bytes | None = None
+        self._crashed = None
         self.lb = np.concatenate([np.asarray(lp._lb, dtype=float), np.zeros(m)])
         self.ub = np.concatenate([np.asarray(lp._ub, dtype=float), np.zeros(m)])
         self.b = np.zeros(m)
@@ -268,7 +292,25 @@ class _Standard:
         self.A = np.zeros((m, n + m))
         self.A[rows, cols] = vals
         self.entries = rows, cols, vals
-        self.sign = sign
+
+    def set_objective(self, lp: LinearProgram) -> None:
+        """Read ``c`` and ``sign`` from the LP's current objective and
+        sense."""
+        self.sign = -1.0 if lp.sense == "max" else 1.0
+        self.c = np.concatenate([self.sign * np.asarray(lp._obj, dtype=float),
+                                 np.zeros(self.m)])
+
+    def crash(self, start: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """``_crash_basis(self, start)``, kept for the last ``start`` (by its
+        exact bytes). Hands out copies: phase 2 moves the point, the states
+        and the basis in place."""
+        key = start.tobytes()
+        if key != self._crash_key:
+            self._crash_key, self._crashed = key, _crash_basis(self, start)
+        if self._crashed is None:
+            return None
+        return tuple(a.copy() for a in self._crashed)
 
 
 def _initial_point(std: _Standard) -> tuple[np.ndarray, np.ndarray]:
@@ -577,7 +619,7 @@ def _solve_reference(std: _Standard, start: np.ndarray | None = None
     m = std.m
     max_iter = 50 * (total + m)
     if start is not None and m:
-        crashed = _crash_basis(std, start)
+        crashed = std.crash(start)
         if crashed is not None:
             x, state, basis = crashed
             status, y, phase = _run_phase(std, std.A, std.c, std.lb, std.ub,
@@ -677,8 +719,16 @@ def solve(lp: LinearProgram, start: ArrayLike | None = None) -> LpSolution:
     ``start`` optionally gives a feasible point of the variables, in
     declaration order. When it is a vertex the simplex starts there and
     skips phase 1; any other start is ignored.
+
+    The standard form is kept on the LP between solves, and so is the basis
+    crashed at the last ``start``: solving again with another objective or
+    sense, or from the same start, rebuilds neither.
     """
-    std = _Standard(lp)
+    std = lp._standard
+    if std is None:
+        std = lp._standard = _Standard(lp)
+    else:
+        std.set_objective(lp)
     if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != (std.n,):
@@ -705,11 +755,18 @@ def dual_range(lp: LinearProgram, solution: LpSolution,
     """Exact multiplicity range of one constraint's dual over the optimal dual
     face (dual feasibility plus dual objective equal to the primal optimum).
 
-    The face is built once and solved twice, for the least and the greatest
-    dual. Both solves go through ``solve``, so both are certificate-checked,
-    and both start at the published dual: it is the dual of the primal's
-    optimal basis and hence a vertex of the face, so phase 2 starts there
-    and phase 1 is skipped.
+    The face is solved twice, for the least and the greatest dual. Both
+    solves go through ``solve``, so both are certificate-checked, and both
+    start at the published dual: it is the dual of the primal's optimal
+    basis and hence a vertex of the face, so phase 2 starts there and phase
+    1 is skipped.
+
+    One face serves every label of a solution: only its objective, a single
+    1.0 on ``y[label]``, differs between labels. The face is built on the
+    first label ranged and kept on ``lp`` for that ``solution`` (by
+    identity); later labels move the 1.0 and solve the same face, whose
+    standard form and crashed start basis ``solve`` keeps in turn. Every
+    label so takes the pivots a freshly built face would take.
 
     Finite endpoints are attained by optimal dual solutions; the published
     dual lies inside the returned interval. A face that is unbounded in a
@@ -719,10 +776,16 @@ def dual_range(lp: LinearProgram, solution: LpSolution,
         raise ValueError("dual_range requires an optimal solution")
     if label not in lp.constraint_labels:
         raise ValueError(f"unknown constraint label {label!r}")
-    face, sgn = _dual_face(lp, solution, label)
-    name = face.name
-    # the published dual lies on the face: both solves start there
-    start = [sgn * solution.duals[lab] for lab in lp.constraint_labels]
+    if lp._face is None or lp._face[0] is not solution:
+        face, sgn = _dual_face(lp, solution, label)
+        # the published dual lies on the face: every solve starts there
+        start = [sgn * solution.duals[lab] for lab in lp.constraint_labels]
+        lp._face = solution, face, sgn, start
+    else:
+        _solution, face, sgn, start = lp._face
+        face._obj[face._obj.index(1.0)] = 0.0
+        face._obj[face._index[f"y[{label}]"]] = 1.0
+    name = f"{lp.name}:dualface:{label}"
     ends = []
     for direction in ("min", "max"):
         # for a min primal the face holds negated duals: query the mirrored

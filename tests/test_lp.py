@@ -12,13 +12,14 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
+from artifact import clearing as clearingmod
 from artifact import lp as lpmod
 from artifact.cli import FIXTURE_NAMES
 from artifact.clearing import clear_ideal, clear_split
 from artifact.errors import ScenarioError
 from artifact.model import StorageSpec, parse_scenario
 from artifact.runner import run_scenario
-from helpers import random_interval
+from helpers import random_interval, random_vlb_scenario
 
 MODES = ("ideal", "split_end_level", "split_penalty", "vlb")
 
@@ -1150,3 +1151,210 @@ class TestPricingAgainstDense:
             tol = 1e-12 * float(np.max(np.abs(A))) * float(np.abs(y).sum())
             assert np.all(np.abs(got - want) <= tol)
         assert artificial >= 100
+
+
+def _ranges_per_label(prog, sol, label):
+    """Ranging as an engine without kept state does it: a fresh face, and a
+    fresh LP for each of the two solves, both started at the published
+    dual."""
+    ends = []
+    for direction in ("min", "max"):
+        face, sgn = lpmod._dual_face(prog, sol, label)
+        face.sense = "min" if (direction == "min") != (sgn < 0) else "max"
+        start = [sgn * sol.duals[lab] for lab in prog.constraint_labels]
+        out = lpmod.solve(face, start=start)
+        if out.status == lpmod.UNBOUNDED:
+            ends.append(-math.inf if direction == "min" else math.inf)
+        else:
+            assert out.status == lpmod.OPTIMAL
+            ends.append(sgn * out.objective)
+    return tuple(ends)
+
+
+def _vlb_clearings(seed: int, count: int):
+    """(lp, solution) of the first ``count`` clearings of seeded
+    ``random_vlb_scenario`` runs."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        run = run_scenario(random_vlb_scenario(rng), compute_ranges=False)
+        out += [(r.lp, r.lp_solution) for r in run.results]
+    return out[:count]
+
+
+class TestOneFacePerClearing:
+    """A clearing's ranges share one dual face: it is built, standardized
+    and crashed once, and each range still takes the pivots of a freshly
+    built face."""
+
+    def test_one_build_per_clearing(self, monkeypatch):
+        counts = dict.fromkeys(("face", "standard", "crash", "solve",
+                                "face_solve", "phase"), 0)
+
+        def spy(key, fn):
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        solve = lpmod.solve
+
+        def counted_solve(prog, *args, **kwargs):
+            counts["face_solve"] += ":dualface:" in prog.name
+            return solve(prog, *args, **kwargs)
+
+        monkeypatch.setattr(lpmod, "_dual_face",
+                            spy("face", lpmod._dual_face))
+        monkeypatch.setattr(lpmod._Standard, "__init__",
+                            spy("standard", lpmod._Standard.__init__))
+        monkeypatch.setattr(lpmod, "_crash_basis",
+                            spy("crash", lpmod._crash_basis))
+        monkeypatch.setattr(lpmod, "solve", spy("solve", counted_solve))
+        monkeypatch.setattr(lpmod, "_run_phase",
+                            spy("phase", lpmod._run_phase))
+        seen = []
+        prices_and_ranges = clearingmod._prices_and_ranges
+
+        def observed(prog, sol, n_periods, dt, compute_ranges):
+            assert compute_ranges
+            counts.update(dict.fromkeys(counts, 0))
+            out = prices_and_ranges(prog, sol, n_periods, dt, compute_ranges)
+            seen.append((prog.name, n_periods, dict(counts)))
+            return out
+
+        monkeypatch.setattr(clearingmod, "_prices_and_ranges", observed)
+        for name in FIXTURE_NAMES:
+            text = (resources.files("artifact") / "fixtures"
+                    / f"{name}.json").read_text()
+            for mode in MODES:
+                scn = dataclasses.replace(parse_scenario(text), mode=mode)
+                try:
+                    run_scenario(scn, compute_ranges=True)
+                except ScenarioError:
+                    continue  # split_penalty on a fixture without penalties
+        assert len(seen) >= 20
+        for name, T, got in seen:
+            assert got == {"face": 1, "standard": 1, "crash": 1,
+                           "solve": 2 * T, "face_solve": 2 * T,
+                           "phase": 2 * T}, name
+
+    @staticmethod
+    def _assert_bitwise(prog, sol, labels):
+        for label in labels:
+            got = lpmod.dual_range(prog, sol, label)
+            want = _ranges_per_label(prog, sol, label)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (
+                prog.name, label, got, want)
+
+    @pytest.mark.parametrize("source", ["fixtures", "random_interval", "vlb"])
+    def test_endpoints_are_those_of_a_fresh_face(self, source):
+        clearings = {"fixtures": _fixture_clearings,
+                     "random_interval": lambda: _random_clearings(20261024, 40),
+                     "vlb": lambda: _vlb_clearings(20261025, 40)}[source]()
+        assert len(clearings) >= 20
+        for prog, sol in clearings:
+            self._assert_bitwise(prog, sol, _balance_labels(prog))
+
+    @pytest.mark.parametrize("sense", ["max", "min"])
+    def test_one_sided_face_keeps_its_infinite_end(self, sense):
+        sign = 1.0 if sense == "max" else -1.0
+        prog = lpmod.LinearProgram(name="one_sided", sense=sense)
+        prog.add_variable("d", 0.0, 0.0, objective=sign * 12.0)
+        prog.add_variable("p", 0.0, 2.0, objective=-sign * 5.0)
+        prog.add_constraint("balance", {"d": 1.0, "p": -1.0}, "==", 0.0)
+        sol = lpmod.solve(prog)
+        for _ in range(2):  # built, then kept
+            self._assert_bitwise(prog, sol, ["balance"])
+        assert lpmod.dual_range(prog, sol, "balance") == (
+            (-math.inf, 5.0) if sense == "max" else (-5.0, math.inf))
+
+
+def _same_solution(got, want):
+    assert got.status == want.status
+    assert got.objective.hex() == want.objective.hex()
+    for a, b in ((got.primal, want.primal), (got.duals, want.duals)):
+        assert list(a) == list(b)
+        assert [v.hex() for v in a.values()] == [v.hex() for v in b.values()]
+
+
+def _capped_market_lp() -> lpmod.LinearProgram:
+    """``single_period_market_lp`` with the cheap generator capped at 1 MW:
+    the balance dual is pinned at the dear one's cost."""
+    prog = single_period_market_lp()
+    prog.add_constraint("cap_p1", {"p1": 1.0}, "<=", 1.0)
+    return prog
+
+
+class TestKeptStateNeverGoesStale:
+    """What an LP keeps between solves (its standard form, a crashed basis,
+    a dual face) never outlives a change: every case matches a fresh LP."""
+
+    def test_row_added_after_a_solve(self):
+        prog = single_period_market_lp()
+        lpmod.solve(prog)
+        prog.add_constraint("cap_p1", {"p1": 1.0}, "<=", 1.0)
+        _same_solution(lpmod.solve(prog), lpmod.solve(_capped_market_lp()))
+
+    def test_variable_and_row_added_after_a_solve(self):
+        prog = single_period_market_lp()
+        lpmod.solve(prog)
+        prog.add_variable("p3", 0.0, 1.0, objective=-1.0)
+        prog.add_constraint("cap_p3", {"p3": 1.0, "p2": 1.0}, "<=", 0.5)
+        fresh = single_period_market_lp()
+        fresh.add_variable("p3", 0.0, 1.0, objective=-1.0)
+        fresh.add_constraint("cap_p3", {"p3": 1.0, "p2": 1.0}, "<=", 0.5)
+        _same_solution(lpmod.solve(prog), lpmod.solve(fresh))
+
+    def test_sense_flipped_between_solves(self):
+        prog = single_period_market_lp()
+        first = lpmod.solve(prog)
+        lpmod.dual_range(prog, first, "balance")
+        prog.sense = "min"
+        fresh = single_period_market_lp()
+        fresh.sense = "min"
+        got, want = lpmod.solve(prog), lpmod.solve(fresh)
+        _same_solution(got, want)
+        assert (lpmod.dual_range(prog, got, "balance")
+                == lpmod.dual_range(fresh, want, "balance"))
+        prog.sense = "max"
+        _same_solution(lpmod.solve(prog), first)
+
+    def test_ranges_after_a_row_come_from_the_new_face(self):
+        prog = single_period_market_lp()
+        sol = lpmod.solve(prog)
+        assert lpmod.dual_range(prog, sol, "balance") == (2.0, 9.0)
+        prog.add_constraint("cap_p1", {"p1": 1.0}, "<=", 1.0)
+        sol = lpmod.solve(prog)
+        fresh = _capped_market_lp()
+        want = lpmod.solve(fresh)
+        for label in ("balance", "cap_p1", "balance"):
+            got = lpmod.dual_range(prog, sol, label)
+            assert got == lpmod.dual_range(fresh, want, label)
+        assert lpmod.dual_range(prog, sol, "balance") == (9.0, 9.0)
+
+    def test_each_start_is_crashed_at(self, monkeypatch):
+        def floor_lp():
+            prog = lpmod.LinearProgram(sense="min")
+            prog.add_variable("x", 0.0, 10.0, objective=1.0)
+            prog.add_variable("y", 0.0, 10.0, objective=2.0)
+            prog.add_constraint("floor", {"x": 1.0, "y": 1.0}, ">=", 4.0)
+            return prog
+
+        prog = floor_lp()
+        crashed = []
+        crash = lpmod._crash_basis
+
+        def spy(std, start):
+            if std is prog._standard:
+                crashed.append(start.tolist())
+            return crash(std, start)
+
+        monkeypatch.setattr(lpmod, "_crash_basis", spy)
+        for start in ([0.0, 4.0], [4.0, 0.0], [4.0, 0.0], [0.0, 4.0]):
+            got = lpmod.solve(prog, start=start)
+            want = lpmod.solve(floor_lp(), start=start)
+            assert got.stats.start == lpmod.CRASHED
+            assert got.stats == want.stats
+            _same_solution(got, want)
+        # crashed again at each change of start, and only then
+        assert crashed == [[0.0, 4.0], [4.0, 0.0], [0.0, 4.0]]
