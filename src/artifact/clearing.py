@@ -9,6 +9,11 @@ The first three are one storage-level chain built by ``_clear_chain``: they
 differ only in the periods the chain spans and in how its last level is
 closed (an ``end_level`` row, or a price on the level).
 
+Price ranges: a chain clearing's optimal dual face, written in prices, is a
+system of difference constraints on the chain, so ``_chain_ranges`` gets
+every period's range from two sweeps over the bids and the optimal levels.
+``vlb`` ranges each period over its dual face with ``lp.dual_range``.
+
 Sign conventions: storage injection is charge-positive in MW; prices are
 EUR/MWh (balance-row duals divided by delta_t). ``ClearingResult.objective``
 is the raw LP objective including penalty/virtual-bid terms; dispatch-based
@@ -105,17 +110,88 @@ def _extract_dispatch(sol: lpmod.LpSolution, interval: IntervalSpec,
     return loads, gens
 
 
-def _prices_and_ranges(prog: lpmod.LinearProgram, sol: lpmod.LpSolution,
-                       n_periods: int, dt: float, compute_ranges: bool):
-    prices = tuple(snap_zero(sol.duals[f"balance[{t + 1}]"] / dt)
-                   for t in range(n_periods))
-    if not compute_ranges:
-        return prices, None
+def _prices(sol: lpmod.LpSolution, n_periods: int,
+            dt: float) -> tuple[float, ...]:
+    return tuple(snap_zero(sol.duals[f"balance[{t + 1}]"] / dt)
+                 for t in range(n_periods))
+
+
+def _face_ranges(prog: lpmod.LinearProgram, sol: lpmod.LpSolution,
+                 n_periods: int, dt: float) -> tuple[tuple[float, float], ...]:
     ranges = []
     for t in range(n_periods):
         lo, hi = lpmod.dual_range(prog, sol, f"balance[{t + 1}]")
         ranges.append((snap_zero(lo / dt), snap_zero(hi / dt)))
-    return prices, tuple(ranges)
+    return tuple(ranges)
+
+
+# the side a generator's stationarity row puts on the price: its column
+# enters the balance row with -1
+_MIRROR = {"<=": ">=", ">=": "<=", "==": "==", None: None}
+
+
+def _chain_ranges(spans: list[tuple[IntervalSpec, int]], storage: StorageSpec,
+                  penalty: float | None, sol: lpmod.LpSolution,
+                  prices: tuple[float, ...],
+                  name: str) -> tuple[tuple[float, float], ...]:
+    """Every period's range of supporting prices over the optimal dual face
+    of a ``_clear_chain`` LP, without solving the face.
+
+    Written in prices, the face is a system of difference constraints on
+    the chain (``docs/decisions.md`` derives it): each bid bounds its period
+    at its price, each level e[t] with t < T links periods t and t + 1 (an
+    empty store gives pi_{t+1} <= pi_t, a full one pi_{t+1} >= pi_t), and a
+    priced last level bounds the last period at -penalty.
+    ``lp.stationarity_op`` reads each side from the optimal solution, as
+    ``lp._dual_face`` does. A forward and a backward sweep carry the lower
+    bounds along the >= links and the upper bounds along the <= links, so
+    each finite endpoint is exactly a bid price, -penalty or 0."""
+    total = len(prices)
+    lo = [-math.inf] * total
+    hi = [math.inf] * total
+
+    def bound(t: int, op: str | None, price: float) -> None:
+        if op in ("<=", "=="):
+            hi[t] = min(hi[t], price)
+        if op in (">=", "=="):
+            lo[t] = max(lo[t], price)
+
+    def side(var: str, cap: float) -> str | None:
+        return lpmod.stationarity_op(sol.primal[var], 0.0, cap)
+
+    for iv, offset in spans:
+        for t in range(iv.grid.n_periods):
+            k = offset + t
+            for ld in iv.loads:
+                bound(k, side(f"d[{ld.id},{k + 1}]", ld.max_quantity[t]),
+                      ld.utility[t])
+            for g in iv.generators:
+                bound(k, _MIRROR[side(f"p[{g.id},{k + 1}]", g.max_quantity[t])],
+                      g.cost[t])
+    # links[t] is the side of pi_t against pi_{t + 1}
+    links = [side(f"e[{t + 1}]", storage.capacity) for t in range(total)]
+    if penalty is not None:
+        bound(total - 1, links[-1], -penalty)
+    for t in range(total - 1):
+        if links[t] in ("<=", "=="):
+            lo[t + 1] = max(lo[t + 1], lo[t])
+        if links[t] in (">=", "=="):
+            hi[t + 1] = min(hi[t + 1], hi[t])
+    for t in reversed(range(total - 1)):
+        if links[t] in ("<=", "=="):
+            hi[t] = min(hi[t], hi[t + 1])
+        if links[t] in (">=", "=="):
+            lo[t] = max(lo[t], lo[t + 1])
+    for t in range(total):
+        if lo[t] > hi[t]:
+            raise LpNumericalError(
+                f"{name}: price range of period {t + 1} is empty: "
+                f"[{lo[t]}, {hi[t]}]")
+        if not (lo[t] - lpmod.EPS <= prices[t] <= hi[t] + lpmod.EPS):
+            raise LpNumericalError(
+                f"{name}: published price {prices[t]} of period {t + 1} "
+                f"outside computed range [{lo[t]}, {hi[t]}]")
+    return tuple((snap_zero(a), snap_zero(b)) for a, b in zip(lo, hi))
 
 
 def _solve_or_raise(prog: lpmod.LinearProgram, requirement: str) -> lpmod.LpSolution:
@@ -173,7 +249,9 @@ def _clear_chain(mode: str, intervals: tuple[IntervalSpec, ...],
         ld, gd = _extract_dispatch(sol, iv, offset)
         loads.extend(ld)
         gens.extend(gd)
-    prices, ranges = _prices_and_ranges(prog, sol, total, dt, compute_ranges)
+    prices = _prices(sol, total, dt)
+    ranges = (_chain_ranges(spans, storage, penalty, sol, prices, name)
+              if compute_ranges else None)
     level = tuple(snap_zero(sol.primal[f"e[{t + 1}]"]) for t in range(total))
     return ClearingResult(
         mode=mode, delta_t=dt, n_periods=total,
@@ -314,7 +392,8 @@ def clear_vlb(interval: IntervalSpec, storage: StorageSpec,
     prog.add_constraint("end_level", end_coeffs, ">=", interval.end_level)
     sol = _solve_or_raise(prog, "end_level")
     loads, gens = _extract_dispatch(sol, interval, 0)
-    prices, ranges = _prices_and_ranges(prog, sol, T, dt, compute_ranges)
+    prices = _prices(sol, T, dt)
+    ranges = _face_ranges(prog, sol, T, dt) if compute_ranges else None
     intra_charge = tuple(snap_zero(sol.primal[f"pCa[{t + 1}]"])
                          for t in range(T))
     intra_level = tuple(snap_zero(sol.primal[f"ea[{t + 1}]"])

@@ -49,15 +49,19 @@ terms so add up in row order. The basis factorization, the start paths and
 the certificate check use the dense ``A``, so the certificate stays an
 independent check of the pricing.
 
-Ranging builds one dual face per clearing. Every period's range solves the
-same face (Jansen, de Jong, Roos & Terlaky, EJOR 101, 1997), and only its
-objective, a single 1.0 on the period's dual, changes between periods. So
-``dual_range`` keeps the face on the primal LP for the solution it ranges,
-and ``solve`` keeps each LP's standard form and the basis crashed at the
-last ``start``: a clearing of T periods builds, standardizes and crashes its
-face once and runs 2T certified phase-2 solves on it, each from the crash
-at the published dual. Adding a variable or a row to an LP drops what it
-keeps. An LP is a mutable builder, used from one thread at a time.
+Ranging builds one dual face per ranged solution. Every label's range
+solves the same face (Jansen, de Jong, Roos & Terlaky, EJOR 101, 1997), and
+only its objective, a single 1.0 on the label's dual, changes between
+labels. So ``dual_range`` keeps the face on the primal LP for the solution
+it ranges, and ``solve`` keeps each LP's standard form and the basis
+crashed at the last ``start``: ranging T labels builds, standardizes and
+crashes the face once and runs 2T certified phase-2 solves on it, each
+from the crash at the published dual. ``stationarity_op`` is the rule that
+reads, from an optimal column value, which side of its stationarity row
+the face keeps; ``artifact.clearing`` applies the same rule to range the
+storage-chain clearings without a face. Adding a variable or a row to an
+LP drops what it keeps. An LP is a mutable builder, used from one thread at
+a time.
 """
 
 from __future__ import annotations
@@ -774,7 +778,7 @@ def dual_range(lp: LinearProgram, solution: LpSolution,
     """
     if solution.status != OPTIMAL:
         raise ValueError("dual_range requires an optimal solution")
-    if label not in lp.constraint_labels:
+    if label not in lp._labels:
         raise ValueError(f"unknown constraint label {label!r}")
     if lp._face is None or lp._face[0] is not solution:
         face, sgn = _dual_face(lp, solution, label)
@@ -808,6 +812,21 @@ def dual_range(lp: LinearProgram, solution: LpSolution,
             f"published dual {point} for {label!r} outside computed range "
             f"[{lo}, {hi}]")
     return lo, hi
+
+
+def stationarity_op(x: float, lb: float, ub: float) -> str | None:
+    """The side of the stationarity row ``y.a_j op c_j`` of a max-form
+    column that complementarity with its optimal value ``x`` admits: None
+    for a fixed column (no row), ``"<="`` at its upper bound, ``">="`` at
+    its lower bound and ``"=="`` strictly between, each bound judged to
+    ``_ANCHOR_TOL``."""
+    if lb == ub:
+        return None
+    if ub < math.inf and x >= ub - _ANCHOR_TOL:
+        return "<="
+    if lb > -math.inf and x <= lb + _ANCHOR_TOL:
+        return ">="
+    return "=="
 
 
 def _dual_face(lp: LinearProgram, solution: LpSolution,
@@ -850,14 +869,8 @@ def _dual_face(lp: LinearProgram, solution: LpSolution,
         x_j = solution.primal[name]
         c_j = sgn * lp.objective_coefficient(name)
         a_j = cols[name]
-        if vlb == vub:
-            anchor, op = vlb, None
-        elif vub < math.inf and x_j >= vub - _ANCHOR_TOL:
-            anchor, op = vub, "<="
-        elif vlb > -math.inf and x_j <= vlb + _ANCHOR_TOL:
-            anchor, op = vlb, ">="
-        else:
-            anchor, op = 0.0, "=="
+        op = stationarity_op(x_j, vlb, vub)
+        anchor = vub if op == "<=" else 0.0 if op == "==" else vlb
         if op is not None:
             face.add_constraint(f"stationarity[{name}]", dict(a_j), op, c_j)
         if anchor:

@@ -7,12 +7,15 @@ degenerate price ranges at dispatch ties).
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from artifact import clearing as clearingmod
+from artifact import lp as lpmod
 from artifact.cli import FIXTURE_NAMES
 from artifact.clearing import (
     clear_ideal,
@@ -22,7 +25,7 @@ from artifact.clearing import (
     dispatch_welfare,
     slice_ideal,
 )
-from artifact.errors import InfeasibleError, ScenarioError
+from artifact.errors import InfeasibleError, LpNumericalError, ScenarioError
 from artifact.lp import write_lp_text
 from artifact.metrics import social_welfare
 from artifact.model import (
@@ -33,6 +36,7 @@ from artifact.model import (
     ValueBucket,
     ValueLedger,
     parse_scenario,
+    snap_zero,
 )
 from artifact.runner import run_scenario
 from helpers import (
@@ -519,3 +523,165 @@ class TestPriceScaling:
                 assert abs(got - k * want) <= 1e-9 * max(1.0, abs(k * want))
             cleared += 1
         assert cleared >= 25
+
+
+CHAIN_MODES = ("ideal", "split_end_level", "split_penalty")
+
+
+def _face_ranges(res):
+    """Every period's range of ``res`` as ``lp.dual_range`` gives it."""
+    return [tuple(snap_zero(end / res.delta_t) for end in lpmod.dual_range(
+        res.lp, res.lp_solution, f"balance[{t + 1}]"))
+        for t in range(res.n_periods)]
+
+
+def _assert_ranges_match_the_face(res):
+    for t, (got, want) in enumerate(zip(res.price_ranges,
+                                        _face_ranges(res))):
+        for a, b in zip(got, want):
+            if math.isinf(a) or math.isinf(b):
+                assert a == b, (res.lp.name, t, got, want)
+            else:
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (
+                    res.lp.name, t, got, want)
+
+
+def _assert_endpoints_are_prices(res, intervals, penalty=None):
+    prices = {0.0} if penalty is None else {0.0, -penalty}
+    for iv in intervals:
+        for ld in iv.loads:
+            prices.update(ld.utility)
+        for g in iv.generators:
+            prices.update(g.cost)
+    for rng in res.price_ranges:
+        for end in rng:
+            assert math.isinf(end) or end in prices, (res.lp.name, rng)
+
+
+def _fixture_chain_clearings():
+    """(clearing, its intervals, its penalty) of every chain clearing of the
+    bundled fixtures, cleared with ranges."""
+    out = []
+    for name in FIXTURE_NAMES:
+        text = (resources.files("artifact") / "fixtures"
+                / f"{name}.json").read_text()
+        for mode in CHAIN_MODES:
+            scn = replace(parse_scenario(text), mode=mode)
+            try:
+                run = run_scenario(scn)
+            except ScenarioError:
+                continue  # split_penalty on a fixture without penalties
+            if mode == "ideal":
+                out.append((run.full_result, scn.intervals, None))
+                continue
+            for iv, res in zip(scn.intervals, run.results):
+                out.append((res, (iv,), iv.penalty_price
+                            if mode == "split_penalty" else None))
+    return out
+
+
+def _zero_some_caps(rng, iv: IntervalSpec) -> IntervalSpec:
+    """``iv`` with about one bid cap in five set to 0 MW."""
+    def caps(quantities):
+        return tuple(0.0 if rng.random() < 0.2 else q for q in quantities)
+    return replace(
+        iv,
+        loads=tuple(replace(ld, max_quantity=caps(ld.max_quantity))
+                    for ld in iv.loads),
+        generators=tuple(replace(g, max_quantity=caps(g.max_quantity))
+                         for g in iv.generators))
+
+
+def _random_chain_clearings(mode: str, seed: int, count: int):
+    """(clearing, its intervals, its penalty) of the first ``count`` seeded
+    ``random_interval`` clearings of ``mode`` that are feasible: two
+    intervals under ``ideal``, one otherwise. One store in ten has no
+    capacity, and about one bid cap in five is 0 MW."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(3 * count):
+        capacity = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.5, 3.0))
+        storage = StorageSpec(capacity, float(rng.uniform(0.0, capacity)))
+        dt = float(rng.choice([0.5, 1.0]))
+        ivs = tuple(_zero_some_caps(rng, random_interval(
+            rng, capacity, penalty=True, delta_t=dt))
+            for _ in range(2 if mode == "ideal" else 1))
+        try:
+            if mode == "ideal":
+                res = clear_ideal(storage, ivs)
+            elif mode == "split_end_level":
+                res = clear_split(ivs[0], storage, storage.initial_energy)
+            else:
+                res = clear_split_penalty(ivs[0], storage,
+                                          storage.initial_energy)
+        except InfeasibleError:
+            continue
+        out.append((res, ivs, ivs[0].penalty_price
+                    if mode == "split_penalty" else None))
+        if len(out) == count:
+            return out
+    raise AssertionError(f"fewer than {count} {mode} draws cleared")
+
+
+class TestChainRangesAgainstTheFace:
+    """The storage-chain clearings range every period by two sweeps over
+    the bids instead of solving the dual face. ``lp.dual_range`` stays the
+    oracle: the endpoints agree to 1e-12 relative, infinite ends are equal,
+    and each finite endpoint is exactly a bid price, -penalty or 0."""
+
+    def test_fixture_clearings(self):
+        clearings = _fixture_chain_clearings()
+        assert {res.mode for res, _ivs, _pen in clearings} == set(CHAIN_MODES)
+        for res, intervals, penalty in clearings:
+            _assert_ranges_match_the_face(res)
+            _assert_endpoints_are_prices(res, intervals, penalty)
+
+    @pytest.mark.parametrize("mode", CHAIN_MODES)
+    def test_random_clearings(self, mode):
+        clearings = _random_chain_clearings(mode, 20261019, 400)
+        assert {res.delta_t for res, _ivs, _pen in clearings} == {0.5, 1.0}
+        assert any(res.lp.bounds("e[1]") == (0.0, 0.0)
+                   for res, _ivs, _pen in clearings)
+        infinite = 0
+        for res, intervals, penalty in clearings:
+            _assert_ranges_match_the_face(res)
+            _assert_endpoints_are_prices(res, intervals, penalty)
+            infinite += any(math.isinf(end) for rng in res.price_ranges
+                            for end in rng)
+        assert infinite
+
+    def test_table5_ideal_first_range_is_the_bid(self):
+        scn = table5_scenario("ideal")
+        res = clear_ideal(scn.storage, scn.intervals)
+        assert res.price_ranges[0] == (20.0, 20.0)
+
+    def test_published_dual_off_its_range_is_refused(self, monkeypatch):
+        solve_or_raise = clearingmod._solve_or_raise
+
+        def shifted(*args, **kwargs):
+            sol = solve_or_raise(*args, **kwargs)
+            duals = dict(sol.duals)
+            duals["balance[2]"] += 1.0
+            return replace(sol, duals=duals)
+
+        monkeypatch.setattr(clearingmod, "_solve_or_raise", shifted)
+        scn = table1_scenario("ideal")
+        with pytest.raises(LpNumericalError, match=r"ideal: .* of period 2 "):
+            clear_ideal(scn.storage, scn.intervals)
+
+    def test_empty_range_is_refused(self, monkeypatch):
+        # the load at 12 taken off its cap while the generator at 5 stays
+        # between its bounds: the price would be both 12 and 5
+        solve_or_raise = clearingmod._solve_or_raise
+
+        def interior(*args, **kwargs):
+            sol = solve_or_raise(*args, **kwargs)
+            primal = dict(sol.primal)
+            primal["d[l1,1]"] = 1.5
+            return replace(sol, primal=primal)
+
+        monkeypatch.setattr(clearingmod, "_solve_or_raise", interior)
+        iv = interval([12.0], [3.0], [[5.0]], [[4.0]], 0.0)
+        with pytest.raises(LpNumericalError,
+                           match=r"split: price range of period 1 is empty"):
+            clear_split(iv, STORAGE, e_init=0.0)

@@ -1183,9 +1183,9 @@ def _vlb_clearings(seed: int, count: int):
 
 
 class TestOneFacePerClearing:
-    """A clearing's ranges share one dual face: it is built, standardized
-    and crashed once, and each range still takes the pivots of a freshly
-    built face."""
+    """A vlb clearing's ranges share one dual face: it is built,
+    standardized and crashed once, and each range still takes the pivots of
+    a freshly built face. A storage-chain clearing ranges without a face."""
 
     def test_one_build_per_clearing(self, monkeypatch):
         counts = dict.fromkeys(("face", "standard", "crash", "solve",
@@ -1212,17 +1212,27 @@ class TestOneFacePerClearing:
         monkeypatch.setattr(lpmod, "solve", spy("solve", counted_solve))
         monkeypatch.setattr(lpmod, "_run_phase",
                             spy("phase", lpmod._run_phase))
-        seen = []
-        prices_and_ranges = clearingmod._prices_and_ranges
+        solve_or_raise = clearingmod._solve_or_raise
 
-        def observed(prog, sol, n_periods, dt, compute_ranges):
-            assert compute_ranges
+        def primal_solved(*args, **kwargs):
+            sol = solve_or_raise(*args, **kwargs)
             counts.update(dict.fromkeys(counts, 0))
-            out = prices_and_ranges(prog, sol, n_periods, dt, compute_ranges)
-            seen.append((prog.name, n_periods, dict(counts)))
-            return out
+            return sol
 
-        monkeypatch.setattr(clearingmod, "_prices_and_ranges", observed)
+        monkeypatch.setattr(clearingmod, "_solve_or_raise", primal_solved)
+        seen = []
+
+        def observed(clear):
+            def cleared(*args, **kwargs):
+                res = clear(*args, **kwargs)
+                seen.append((res.mode, res.n_periods, dict(counts)))
+                return res
+            return cleared
+
+        for fn in ("clear_ideal", "clear_split", "clear_split_penalty",
+                   "clear_vlb"):
+            monkeypatch.setattr(clearingmod, fn,
+                                observed(getattr(clearingmod, fn)))
         for name in FIXTURE_NAMES:
             text = (resources.files("artifact") / "fixtures"
                     / f"{name}.json").read_text()
@@ -1232,11 +1242,15 @@ class TestOneFacePerClearing:
                     run_scenario(scn, compute_ranges=True)
                 except ScenarioError:
                     continue  # split_penalty on a fixture without penalties
+        assert {mode for mode, _T, _got in seen} == set(MODES)
         assert len(seen) >= 20
-        for name, T, got in seen:
-            assert got == {"face": 1, "standard": 1, "crash": 1,
-                           "solve": 2 * T, "face_solve": 2 * T,
-                           "phase": 2 * T}, name
+        for mode, T, got in seen:
+            if mode == "vlb":
+                assert got == {"face": 1, "standard": 1, "crash": 1,
+                               "solve": 2 * T, "face_solve": 2 * T,
+                               "phase": 2 * T}, mode
+            else:
+                assert got == dict.fromkeys(counts, 0), mode
 
     @staticmethod
     def _assert_bitwise(prog, sol, labels):
