@@ -6,9 +6,9 @@ Bland's rule (deterministic: identical inputs give identical outputs), dual
 extraction by constraint label, post-solve optimality certificates, and exact
 dual multiplicity ranges computed over the optimal dual face.
 
-A solve starts on one of three paths (``SolveStats.start``). ``CRASHED``:
-a given starting point that is a feasible vertex gets a basis crashed at
-it, and phase 2 starts there; each dual-face solve starts so at the
+A solve starts on one of three paths (``SolveStats.start``), and each ends
+in the same phase 2. ``CRASHED``: a given starting point that is a feasible
+vertex gets a basis crashed at it; each dual-face solve starts so at the
 published dual. ``FEASIBLE_START``: with every column on a bound (free ones
 at 0) the row slacks fit their bounds, and elimination gives each row its
 lowest-index usable pivot; an LP without rows starts here. ``PHASE_1``:
@@ -16,7 +16,8 @@ otherwise, with artificials still basic driven out before phase 2.
 
 Conventions
 -----------
-* ``sense`` is ``"max"`` or ``"min"``; bounds may be ``+-math.inf``.
+* ``sense`` is ``"max"`` or ``"min"``; bounds may be ``+-math.inf``, but
+  not NaN, a lower bound of ``+inf`` or an upper bound of ``-inf``.
 * Reported duals are oriented for the problem as stated: for a ``max``
   problem a binding ``<=`` row has a nonnegative dual.
 * Tolerances (``docs/decisions.md`` tabulates their scaling): ``EPS``
@@ -53,15 +54,15 @@ Ranging builds one dual face per ranged solution. Every label's range
 solves the same face (Jansen, de Jong, Roos & Terlaky, EJOR 101, 1997), and
 only its objective, a single 1.0 on the label's dual, changes between
 labels. So ``dual_range`` keeps the face on the primal LP for the solution
-it ranges, and ``solve`` keeps each LP's standard form and the basis
-crashed at the last ``start``: ranging T labels builds, standardizes and
-crashes the face once and runs 2T certified phase-2 solves on it, each
-from the crash at the published dual. ``stationarity_op`` is the rule that
-reads, from an optimal column value, which side of its stationarity row
-the face keeps; ``artifact.clearing`` applies the same rule to range the
-storage-chain clearings without a face. Adding a variable or a row to an
-LP drops what it keeps. An LP is a mutable builder, used from one thread at
-a time.
+it ranges, and ``solve`` keeps each LP's standard form (its constraints,
+no objective) and the basis crashed at the last ``start``: ranging T
+labels builds, standardizes and crashes the face once and runs 2T
+certified phase-2 solves on it, each from the crash at the published dual.
+``stationarity_op`` is the rule that reads, from an optimal column value,
+which side of its stationarity row the face keeps; ``artifact.clearing``
+applies the same rule to range the storage-chain clearings without a face.
+Adding a variable or a row to an LP drops what it keeps. An LP is a
+mutable builder, used from one thread at a time.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ class LinearProgram:
         """Add a variable with bounds ``lb <= x <= ub``; returns its index."""
         if name in self._index:
             raise ValueError(f"duplicate variable name {name!r}")
-        if lb > ub:
-            raise ValueError(f"variable {name!r} has lb {lb} > ub {ub}")
+        if not lb <= ub or lb == math.inf or ub == -math.inf:
+            raise ValueError(f"variable {name!r} has bounds [{lb}, {ub}]")
         self._standard = self._face = None
         self._index[name] = len(self._names)
         self._names.append(name)
@@ -255,19 +256,14 @@ class LpSolution:
 # ---------------------------------------------------------------------------
 
 class _Standard:
-    """Internal min-form arrays: min c.x s.t. A x = b, lb <= x <= ub, where
-    columns [0, n) are the user's variables and [n, n+m) are row slacks.
-
-    ``c`` and ``sign`` follow the LP's objective and sense as of the last
-    ``set_objective``; the rest holds while the LP gains no variable or
-    row."""
+    """Internal min-form constraints A x = b, lb <= x <= ub, where columns
+    [0, n) are the user's variables and [n, n+m) are row slacks, with
+    ``b_scale = max(1, max|b|)``. No objective (``_objective`` reads that
+    at each solve): it holds while the LP gains no variable or row."""
 
     def __init__(self, lp: LinearProgram):
-        n = lp.n_variables
-        m = lp.n_constraints
-        self.n = n
-        self.m = m
-        self.set_objective(lp)
+        self.n = n = lp.n_variables
+        self.m = m = lp.n_constraints
         self._crash_key: bytes | None = None
         self._crashed = None
         self.lb = np.concatenate([np.asarray(lp._lb, dtype=float), np.zeros(m)])
@@ -296,13 +292,7 @@ class _Standard:
         self.A = np.zeros((m, n + m))
         self.A[rows, cols] = vals
         self.entries = rows, cols, vals
-
-    def set_objective(self, lp: LinearProgram) -> None:
-        """Read ``c`` and ``sign`` from the LP's current objective and
-        sense."""
-        self.sign = -1.0 if lp.sense == "max" else 1.0
-        self.c = np.concatenate([self.sign * np.asarray(lp._obj, dtype=float),
-                                 np.zeros(self.m)])
+        self.b_scale = max(1.0, float(np.max(np.abs(self.b), initial=0.0)))
 
     def crash(self, start: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -315,6 +305,14 @@ class _Standard:
         if self._crashed is None:
             return None
         return tuple(a.copy() for a in self._crashed)
+
+
+def _objective(lp: LinearProgram, m: int) -> tuple[float, np.ndarray]:
+    """The sign that turns the LP's sense into a minimization, and the
+    min-form cost vector over its columns and ``m`` row slacks."""
+    sign = -1.0 if lp.sense == "max" else 1.0
+    return sign, np.concatenate([sign * np.asarray(lp._obj, dtype=float),
+                                 np.zeros(m)])
 
 
 def _initial_point(std: _Standard) -> tuple[np.ndarray, np.ndarray]:
@@ -512,7 +510,7 @@ def _feasible_start_basis(std: _Standard, x: np.ndarray,
     n, m = std.n, std.m
     lo, hi = std.lb[n:], std.ub[n:]
     want = std.b - std.A[:, :n] @ x[:n]
-    tol = _START_TOL * max(1.0, float(np.max(np.abs(std.b), initial=0.0)))
+    tol = _START_TOL * std.b_scale
     if np.any(want < lo - tol) or np.any(want > hi + tol):
         return None
     slack = np.minimum(np.maximum(want, lo), hi)
@@ -575,8 +573,7 @@ def _crash_basis(std: _Standard, start: np.ndarray
     x = np.concatenate([start, std.b - A[:, :n] @ start])
     if not np.all(np.isfinite(x)):
         return None
-    tol = _PIVOT_EPS * max(1.0, float(np.max(np.abs(x))),
-                           float(np.max(np.abs(std.b))))
+    tol = _PIVOT_EPS * max(float(np.max(np.abs(x))), std.b_scale)
     if np.any(x < lb - tol) or np.any(x > ub + tol):
         return None
     at_lower = (lb > -math.inf) & (x <= lb + tol)
@@ -613,57 +610,50 @@ def _crash_basis(std: _Standard, start: np.ndarray
     return x, state, basis
 
 
-def _solve_reference(std: _Standard, start: np.ndarray | None = None
+def _solve_reference(std: _Standard, c: np.ndarray,
+                     start: np.ndarray | None = None
                      ) -> tuple[str, np.ndarray, np.ndarray, SolveStats]:
-    """Bounded simplex. Phase 2 starts at once from a basis crashed at
-    ``start`` when that is a feasible vertex, and otherwise from a feasible
-    nonbasic start or after phase 1. Returns (status, x, internal duals,
-    counts)."""
+    """Bounded simplex for the min-form costs ``c``. Phase 2 starts from a
+    basis crashed at ``start`` when that is a feasible vertex, else from a
+    feasible nonbasic start, else after phase 1. Returns (status, x,
+    internal duals, counts)."""
     total = std.n + std.m
     m = std.m
     max_iter = 50 * (total + m)
-    if start is not None and m:
-        crashed = std.crash(start)
-        if crashed is not None:
-            x, state, basis = crashed
-            status, y, phase = _run_phase(std, std.A, std.c, std.lb, std.ub,
-                                          x, state, basis, max_iter)
-            return status, x[:std.n], y, SolveStats(CRASHED, None, phase)
-    x, state = _initial_point(std)
-    basis0 = _feasible_start_basis(std, x, state)
-    if basis0 is not None:
-        # the start already satisfies every row (an LP without rows too):
-        # no phase 1 needed
-        status, y, phase = _run_phase(std, std.A, std.c, std.lb, std.ub, x,
-                                      state, basis0, max_iter)
-        return status, x[:std.n], y, SolveStats(FEASIBLE_START, None, phase)
-    residual = std.b - std.A @ x
-    art_sign = np.where(residual >= 0, 1.0, -1.0)
-    A1 = np.hstack([std.A, np.diag(art_sign)])
-    lb1 = np.concatenate([std.lb, np.zeros(m)])
-    ub1 = np.concatenate([std.ub, np.full(m, math.inf)])
-    x1 = np.concatenate([x, np.abs(residual)])
-    state1 = np.concatenate([state, np.full(m, _BASIC, dtype=np.int8)])
-    basis = np.arange(total, total + m)
-    c1 = np.concatenate([np.zeros(total), np.ones(m)])
-    status, _y, phase_1 = _run_phase(std, A1, c1, lb1, ub1, x1, state1, basis,
-                                     max_iter)
-    if status != OPTIMAL:
-        raise LpNumericalError("phase 1 terminated abnormally")
-    scale = max(1.0, float(np.max(np.abs(std.b))))
-    if float(x1[total:].sum()) > EPS * scale:
-        return (INFEASIBLE, x1[:std.n], np.zeros(m),
-                SolveStats(PHASE_1, phase_1, None))
-    drive_outs = _drive_out_artificials(A1, state1, basis, total)
-    # artificials, basic ones included, are pinned at zero and priced out
-    # for phase 2
-    lb1[total:] = 0.0
-    ub1[total:] = 0.0
-    c2 = np.concatenate([std.c, np.zeros(m)])
-    status, y, phase_2 = _run_phase(std, A1, c2, lb1, ub1, x1, state1, basis,
+    A, lb, ub = std.A, std.lb, std.ub
+    phase_1, drive_outs = None, 0
+    crashed = std.crash(start) if start is not None and m else None
+    if crashed is not None:
+        path, (x, state, basis) = CRASHED, crashed
+    else:
+        x, state = _initial_point(std)
+        basis = _feasible_start_basis(std, x, state)
+        path = FEASIBLE_START if basis is not None else PHASE_1
+    if basis is None:
+        residual = std.b - A @ x
+        art_sign = np.where(residual >= 0, 1.0, -1.0)
+        A = np.hstack([A, np.diag(art_sign)])
+        lb = np.concatenate([lb, np.zeros(m)])
+        ub = np.concatenate([ub, np.full(m, math.inf)])
+        x = np.concatenate([x, np.abs(residual)])
+        state = np.concatenate([state, np.full(m, _BASIC, dtype=np.int8)])
+        basis = np.arange(total, total + m)
+        c1 = np.concatenate([np.zeros(total), np.ones(m)])
+        status, _y, phase_1 = _run_phase(std, A, c1, lb, ub, x, state, basis,
+                                         max_iter)
+        if status != OPTIMAL:
+            raise LpNumericalError("phase 1 terminated abnormally")
+        if float(x[total:].sum()) > EPS * std.b_scale:
+            return (INFEASIBLE, x[:std.n], np.zeros(m),
+                    SolveStats(PHASE_1, phase_1, None))
+        drive_outs = _drive_out_artificials(A, state, basis, total)
+        # artificials, basic ones included, are pinned at zero and priced
+        # out for phase 2
+        lb[total:] = ub[total:] = 0.0
+        c = np.concatenate([c, np.zeros(m)])
+    status, y, phase_2 = _run_phase(std, A, c, lb, ub, x, state, basis,
                                     max_iter)
-    return (status, x1[:std.n], y,
-            SolveStats(PHASE_1, phase_1, phase_2, drive_outs))
+    return status, x[:std.n], y, SolveStats(path, phase_1, phase_2, drive_outs)
 
 
 def check_certificates(lp: LinearProgram,
@@ -671,25 +661,24 @@ def check_certificates(lp: LinearProgram,
     """Verify primal feasibility, dual feasibility, complementary slackness,
     and strong duality for an optimal (primal, dual) pair, to ``EPS``."""
     std = _Standard(lp)
+    sign, c = _objective(lp, std.m)
     x = np.array([solution.primal[name] for name in lp.variable_names], dtype=float)
     y_user = np.array([solution.duals[label] for label in lp.constraint_labels],
                       dtype=float)
-    return _certify(std, x, std.sign * y_user)
+    return _certify(std, c, x, sign * y_user)
 
 
-def _certify(std: _Standard, x: np.ndarray, y: np.ndarray) -> CertificateReport:
+def _certify(std: _Standard, c: np.ndarray, x: np.ndarray,
+             y: np.ndarray) -> CertificateReport:
     """Certificate residuals of structural values ``x`` and internal
-    min-form duals ``y`` against one standard form, judged to ``EPS``."""
-    n, m = std.n, std.m
+    min-form duals ``y`` for the costs ``c`` against one standard form,
+    judged to ``EPS``."""
+    n = std.n
     # recover slack values from row activities
-    slack = std.b - std.A[:, :n] @ x if m else np.zeros(0)
-    xe = np.concatenate([x, slack])
-    scale = max(1.0, float(np.max(np.abs(xe))) if xe.size else 1.0,
-                float(np.max(np.abs(std.b))) if m else 1.0)
-    lo = np.where(np.isfinite(std.lb), std.lb, -np.inf)
-    hi = np.where(np.isfinite(std.ub), std.ub, np.inf)
-    primal_res = max(_max0(lo - xe), _max0(xe - hi))
-    rc = std.c - std.A.T @ y if m else std.c.copy()
+    xe = np.concatenate([x, std.b - std.A[:, :n] @ x])
+    scale = max(std.b_scale, _max0(np.abs(xe)))
+    primal_res = max(_max0(std.lb - xe), _max0(xe - std.ub))
+    rc = c - std.A.T @ y
     # internal min form: positive rc must rest on a finite lower bound,
     # negative rc on a finite upper bound
     on_lb = (rc > 0) & (std.lb > -math.inf)
@@ -697,10 +686,10 @@ def _certify(std: _Standard, x: np.ndarray, y: np.ndarray) -> CertificateReport:
     dual_res = max(_max0(rc[(rc > 0) & ~on_lb]), _max0(-rc[(rc < 0) & ~on_ub]))
     comp_res = max(_max0(rc[on_lb] * (xe[on_lb] - std.lb[on_lb]) / scale),
                    _max0(-rc[on_ub] * (std.ub[on_ub] - xe[on_ub]) / scale))
-    dual_obj = ((float(std.b @ y) if m else 0.0)
+    dual_obj = (float(std.b @ y)
                 + float(rc[on_lb] @ std.lb[on_lb])
                 + float(rc[on_ub] @ std.ub[on_ub]))
-    primal_obj = float(std.c[:n] @ x)
+    primal_obj = float(c[:n] @ x)
     gap = abs(primal_obj - dual_obj) / max(1.0, abs(primal_obj))
     return CertificateReport(
         primal_residual=float(primal_res) / scale,
@@ -731,22 +720,21 @@ def solve(lp: LinearProgram, start: ArrayLike | None = None) -> LpSolution:
     std = lp._standard
     if std is None:
         std = lp._standard = _Standard(lp)
-    else:
-        std.set_objective(lp)
+    sign, c = _objective(lp, std.m)
     if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != (std.n,):
             raise ValueError(f"start has shape {start.shape}, expected "
                              f"({std.n},)")
-    status, x, y, stats = _solve_reference(std, start)
+    status, x, y, stats = _solve_reference(std, c, start)
     if status != OPTIMAL:
         return LpSolution(status=status, objective=math.nan, primal={},
                           duals={}, stats=stats)
     primal = {name: float(x[j]) for j, name in enumerate(lp.variable_names)}
-    duals = {label: float(std.sign * y[i])
+    duals = {label: float(sign * y[i])
              for i, label in enumerate(lp.constraint_labels)}
     objective = float(np.dot(np.asarray(lp._obj, dtype=float), x))
-    report = _certify(std, x, y)
+    report = _certify(std, c, x, y)
     if not report.ok:
         raise LpNumericalError(
             f"optimality certificates failed for {lp.name!r}: {report}")
@@ -768,9 +756,9 @@ def dual_range(lp: LinearProgram, solution: LpSolution,
     One face serves every label of a solution: only its objective, a single
     1.0 on ``y[label]``, differs between labels. The face is built on the
     first label ranged and kept on ``lp`` for that ``solution`` (by
-    identity); later labels move the 1.0 and solve the same face, whose
-    standard form and crashed start basis ``solve`` keeps in turn. Every
-    label so takes the pivots a freshly built face would take.
+    identity); each label moves the 1.0 to itself and solves the same face,
+    whose standard form and crashed start basis ``solve`` keeps in turn.
+    Every label so takes the pivots a freshly built face would take.
 
     Finite endpoints are attained by optimal dual solutions; the published
     dual lies inside the returned interval. A face that is unbounded in a
@@ -785,10 +773,9 @@ def dual_range(lp: LinearProgram, solution: LpSolution,
         # the published dual lies on the face: every solve starts there
         start = [sgn * solution.duals[lab] for lab in lp.constraint_labels]
         lp._face = solution, face, sgn, start
-    else:
-        _solution, face, sgn, start = lp._face
-        face._obj[face._obj.index(1.0)] = 0.0
-        face._obj[face._index[f"y[{label}]"]] = 1.0
+    _solution, face, sgn, start = lp._face
+    face._obj[face._obj.index(1.0)] = 0.0
+    face._obj[face._index[f"y[{label}]"]] = 1.0
     name = f"{lp.name}:dualface:{label}"
     ends = []
     for direction in ("min", "max"):

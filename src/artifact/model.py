@@ -6,7 +6,7 @@ utilities in EUR/MWh, ``delta_t`` in hours.
 A scenario document is a JSON object with fields::
 
     {
-      "storage": {"capacity": 2.5, "initial_energy": 0.0},
+      "storage": {"capacity": 2.5, "initial_energy": 1.0},
       "mode": "vlb",
       "discount_rate": 0.0,
       "initial_ledger": [{"price": 5.0, "quantity": 1.0, "birth_interval": 1}],
@@ -79,7 +79,8 @@ class GeneratorBid:
 class StorageSpec:
     """The single storage system: energy capacity and the initial content
     the ideal/split modes start from. vlb starts from the scenario's
-    ``initial_ledger`` instead; nothing checks that the two agree."""
+    ``initial_ledger`` instead, whose total ``validate_scenario`` holds
+    to ``initial_energy``."""
 
     capacity: float
     initial_energy: float
@@ -357,6 +358,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     total = scenario.initial_ledger.total
     if math.isfinite(sto.capacity) and total > sto.capacity + MODEL_EPS:
         out.append("initial_ledger: total stored energy exceeds storage.capacity")
+    if abs(total - sto.initial_energy) > MODEL_EPS:
+        out.append(f"initial_ledger: total stored energy {float(total)!r} "
+                   f"differs from storage.initial_energy "
+                   f"{sto.initial_energy!r}")
     if not scenario.intervals:
         out.append("intervals: at least one interval is required")
     for i, iv in enumerate(scenario.intervals):

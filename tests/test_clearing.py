@@ -29,6 +29,7 @@ from artifact.errors import InfeasibleError, LpNumericalError, ScenarioError
 from artifact.lp import write_lp_text
 from artifact.metrics import social_welfare
 from artifact.model import (
+    MODES,
     IntervalSpec,
     Scenario,
     StorageSpec,
@@ -43,6 +44,7 @@ from helpers import (
     STORAGE,
     interval,
     random_interval,
+    random_ledger,
     table1_scenario,
     table4_scenario,
     table5_scenario,
@@ -523,6 +525,112 @@ class TestPriceScaling:
                 assert abs(got - k * want) <= 1e-9 * max(1.0, abs(k * want))
             cleared += 1
         assert cleared >= 25
+
+
+def _renamed(intervals: tuple[IntervalSpec, ...]) -> tuple[IntervalSpec, ...]:
+    """``intervals`` with every participant renamed, the new names sorting
+    in the opposite order, and the loads and the generators of each
+    interval in reverse order."""
+    ids = sorted({b.id for iv in intervals for b in iv.loads + iv.generators})
+    new = {pid: f"renamed-{len(ids) - k:03d}" for k, pid in enumerate(ids)}
+    return tuple(replace(
+        iv, loads=tuple(replace(ld, id=new[ld.id]) for ld in reversed(iv.loads)),
+        generators=tuple(replace(g, id=new[g.id])
+                         for g in reversed(iv.generators)))
+        for iv in intervals)
+
+
+def _clear_one(mode: str, iv: IntervalSpec, storage: StorageSpec,
+               ledger: ValueLedger):
+    """One interval cleared in ``mode`` from ``storage.initial_energy``, or
+    for ``vlb`` from ``ledger``."""
+    if mode == "ideal":
+        return clear_ideal(storage, (iv,))
+    if mode == "split_end_level":
+        return clear_split(iv, storage, storage.initial_energy)
+    if mode == "split_penalty":
+        return clear_split_penalty(iv, storage, storage.initial_energy)
+    return clear_vlb(iv, storage, ledger)
+
+
+def _assert_same_unique_values(res, other):
+    """Equal LP optima and price ranges, within 1e-9 relative; infinite
+    range ends equal."""
+    want = [res.objective] + [end for rng in res.price_ranges for end in rng]
+    got = [other.objective] + [end for rng in other.price_ranges
+                               for end in rng]
+    assert len(got) == len(want)
+    for w, g in zip(want, got):
+        assert (g == w if math.isinf(w)
+                else abs(g - w) <= 1e-9 * max(1.0, abs(w))), (want, got)
+
+
+class TestRenamingParticipants:
+    """Renaming every participant and reversing the order of the loads and
+    of the generators changes no unique value: the LP optimum and every
+    period's price range. Dispatch and point prices are not unique, so
+    neither they nor sequential runs, which chain through them, are
+    compared."""
+
+    @staticmethod
+    def _single_intervals():
+        """(interval, storage, ledger): every fixture interval from an empty
+        store, then seeded ``random_interval`` draws from a random start
+        that the ledger holds."""
+        for name in FIXTURE_NAMES:
+            text = (resources.files("artifact") / "fixtures"
+                    / f"{name}.json").read_text()
+            scn = parse_scenario(text)
+            storage = StorageSpec(scn.storage.capacity, 0.0)
+            for iv in scn.intervals:
+                yield iv, storage, ValueLedger()
+        rng = np.random.default_rng(20261024)
+        for _ in range(50):
+            capacity = float(rng.uniform(0.5, 3.0))
+            ledger = random_ledger(rng, capacity)
+            yield (random_interval(rng, capacity, penalty=True),
+                   StorageSpec(capacity, ledger.total), ledger)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_single_interval_clearings(self, mode):
+        cleared = 0
+        for iv, storage, ledger in self._single_intervals():
+            if mode == "split_penalty" and iv.penalty_price is None:
+                continue
+            (renamed,) = _renamed((iv,))
+            try:
+                res = _clear_one(mode, iv, storage, ledger)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    _clear_one(mode, renamed, storage, ledger)
+                continue
+            _assert_same_unique_values(
+                res, _clear_one(mode, renamed, storage, ledger))
+            cleared += 1
+        assert cleared >= 40
+
+    def test_ideal_horizons(self):
+        horizons = [parse_scenario((resources.files("artifact") / "fixtures"
+                                    / f"{name}.json").read_text())
+                    for name in FIXTURE_NAMES]
+        rng = np.random.default_rng(20261025)
+        for _ in range(10):
+            capacity = float(rng.uniform(0.5, 3.0))
+            dt = float(rng.choice([0.5, 1.0]))
+            horizons.append(Scenario(StorageSpec(capacity, 0.0), tuple(
+                random_interval(rng, capacity, delta_t=dt,
+                                end_level=0.0 if last else None)
+                for last in (False, False, True)), "ideal"))
+        cleared = 0
+        for scn in horizons:
+            try:
+                res = clear_ideal(scn.storage, scn.intervals)
+            except InfeasibleError:
+                continue
+            _assert_same_unique_values(
+                res, clear_ideal(scn.storage, _renamed(scn.intervals)))
+            cleared += 1
+        assert cleared >= 10
 
 
 CHAIN_MODES = ("ideal", "split_end_level", "split_penalty")

@@ -103,6 +103,17 @@ class TestBasics:
         with pytest.raises(ValueError):
             prog.add_constraint("bad", {"nope": 1.0}, "<=", 1.0)
 
+    @pytest.mark.parametrize("lb, ub", [
+        (math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf),
+        (-math.inf, -math.inf), (2.0, 1.0)])
+    def test_bounds_that_admit_no_value_are_rejected(self, lb, ub):
+        prog = lpmod.LinearProgram()
+        with pytest.raises(ValueError, match="bounds"):
+            prog.add_variable("x", lb, ub)
+        # nothing was added
+        assert prog.n_variables == 0
+        prog.add_variable("x", -math.inf, math.inf)
+
     def test_accumulating_coefficients(self):
         prog = lpmod.LinearProgram(sense="max")
         prog.add_variable("x", 0.0, 5.0, objective=1.0)

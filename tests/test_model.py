@@ -54,7 +54,7 @@ class TestParsing:
 
     def test_round_trip_with_ledger(self):
         scn = Scenario(
-            storage=StorageSpec(2.5, 0.0),
+            storage=StorageSpec(2.5, 1.5),
             intervals=table1_scenario("vlb").intervals,
             mode="vlb",
             initial_ledger=ValueLedger.from_buckets(
@@ -114,7 +114,7 @@ JSON_VALUES = st.recursive(
 
 #: a valid document that uses every field
 FULL = json.loads(serialize_scenario(replace(
-    table1_scenario("vlb"), discount_rate=0.1,
+    table1_scenario("vlb"), storage=StorageSpec(2.5, 1.0), discount_rate=0.1,
     initial_ledger=ValueLedger((ValueBucket(5.0, 1.0, 1),)))))
 
 
@@ -237,6 +237,25 @@ class TestValidation:
                            [ValueBucket(5.0, 3.0, 1)]))
         assert any("exceeds storage.capacity" in d
                    for d in validate_scenario(bad))
+
+    def test_ledger_must_hold_the_initial_energy(self):
+        # a store that starts with energy needs a ledger that prices it; an
+        # omitted ledger counts as empty
+        ledger = [{"price": 5.0, "quantity": 0.75, "birth_interval": 1},
+                  {"price": 3.0, "quantity": 0.25, "birth_interval": 2}]
+        for initial, buckets, total in ((1.0, None, 0.0), (0.0, ledger, 1.0),
+                                        (1.0, ledger[:1], 0.75)):
+            doc = json.loads(MINIMAL)
+            doc["storage"]["initial_energy"] = initial
+            if buckets is not None:
+                doc["initial_ledger"] = buckets
+            with pytest.raises(ScenarioError) as err:
+                parse_scenario(json.dumps(doc))
+            assert err.value.diagnostics == (
+                f"initial_ledger: total stored energy {total!r} differs "
+                f"from storage.initial_energy {initial!r}",)
+        doc["initial_ledger"] = ledger
+        assert parse_scenario(json.dumps(doc)).initial_ledger.total == 1.0
 
     def test_nonpositive_bucket_rejected(self):
         scn = table1_scenario("vlb")
