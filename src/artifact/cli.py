@@ -443,9 +443,13 @@ def main(argv=None) -> int:
                          price_selection=args.price_selection,
                          compute_ranges=not args.no_price_ranges)
     except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for diag in getattr(exc, "diagnostics", ()):
-            print(f"  - {diag}", file=sys.stderr)
+        diagnostics = getattr(exc, "diagnostics", ())
+        if diagnostics:
+            print(f"error: {exc.headline}:", file=sys.stderr)
+            for diag in diagnostics:
+                print(f"  - {diag}", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
     failed = [m for m in report.modes if m.error is not None]
     if failed and args.compare is None:

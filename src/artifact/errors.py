@@ -11,12 +11,18 @@ class ScenarioError(EngineError):
     """A scenario document failed to parse or validate.
 
     ``diagnostics`` holds one human-readable message per violated invariant,
-    each prefixed with the field path it refers to.
+    each prefixed with the field path it refers to. With diagnostics,
+    ``headline`` is the message with their count, and the error reads as
+    the headline followed by every diagnostic.
     """
 
     def __init__(self, message: str, diagnostics: tuple[str, ...] | list[str] = ()):
-        super().__init__(message)
         self.diagnostics = tuple(diagnostics)
+        self.headline = message
+        if self.diagnostics:
+            self.headline = f"{message} ({len(self.diagnostics)} problem(s))"
+            message = f"{self.headline}: " + "; ".join(self.diagnostics)
+        super().__init__(message)
 
 
 class LpNumericalError(EngineError):

@@ -27,20 +27,26 @@ Conventions
   in the ratio test; ``_SINGULAR`` (1e-12) for a singular basis LU;
   ``_START_TOL`` (1e-12) for a feasible start's slacks; ``_ANCHOR_TOL``
   (1e-9) for the bound at which the dual face anchors a column.
-* ``_REFACTOR`` (32) is the number of basis changes between fresh
+* ``_REFACTOR`` (64) is the number of basis changes between fresh
   factorizations of the basis.
 
 The simplex keeps the LU factorization of its basis across pivots in
-product form: each basis change appends an eta (the leaving row and the
-entering column's FTRAN), solves apply the etas around the LU, and the
-basis is factored afresh every ``_REFACTOR`` changes. Pricing and the
-ratio test may use the updated factor, but every verdict (optimal,
-unbounded) is reached again at a fresh factorization, so reported duals
-always come from a fresh LU of the final basis. The pivot path is the one a
-solve that refactors at every pivot takes: Bland's rule for the entering
-column and the ``_RATIO_TIE`` rule for the leaving one. Basic values are
-updated along the path and never recomputed; the certificate check guards
-against drift. ``LpSolution.stats`` counts what a solve did.
+product form (Dantzig & Orchard-Hays, 1954), with the etas held as one
+block (``_Factor``): each basis change adds the entering column's FTRAN,
+less the unit vector of its leaving row, as a column of ``G``, and a row
+to a small lower triangle ``L``. Applying every eta is then one
+triangular solve with ``L`` and one product with ``G``, however many there
+are, so FTRAN and BTRAN each make a fixed number of LAPACK and numpy
+calls. The basis is factored afresh every ``_REFACTOR`` changes, and phase
+2 starts on phase 1's final factor when no artificial column was driven
+out. Pricing and the ratio test may use the updated factor, but every
+verdict (optimal, unbounded) is reached again at a fresh factorization, so
+reported duals always come from a fresh LU of the final basis. The pivot
+path is the one a solve that refactors at every pivot takes: Bland's rule
+for the entering column and the ``_RATIO_TIE`` rule for the leaving one.
+Basic values are updated along the path and never recomputed; the
+certificate check guards against drift. ``LpSolution.stats`` counts what a
+solve did.
 
 Pricing computes the reduced costs ``c - A.T @ y`` from the entries of
 ``A`` alone, not from the dense product: the standard form keeps the
@@ -73,7 +79,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import ArrayLike
 from scipy.linalg import lu, lu_factor
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg.lapack import dgetrs, dtrtrs
 
 from .errors import LpNumericalError
 
@@ -83,7 +89,7 @@ _RATIO_TIE = 1e-12
 _SINGULAR = 1e-12
 _START_TOL = 1e-12
 _ANCHOR_TOL = 1e-9
-_REFACTOR = 32
+_REFACTOR = 64
 
 _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
 
@@ -344,26 +350,66 @@ def _getrs(lu, b: np.ndarray, trans: int) -> np.ndarray:
     return x
 
 
-def _ftran(lu, etas: list[tuple[int, np.ndarray]], a: np.ndarray) -> np.ndarray:
-    """``B^-1 a`` for the basis ``B = B0 E1 ... Ek``: solve with the LU of
-    ``B0``, then apply each eta's inverse in order."""
-    z = _getrs(lu, a, 0)
-    for r, w in etas:
-        zr = z[r] / w[r]
-        z -= zr * w
-        z[r] = zr
-    return z
+def _trtrs(L: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """Solve with the lower triangle ``L`` (``trans`` 1: its transpose) by
+    LAPACK ``dtrtrs``, called as ``_getrs`` calls ``dgetrs``."""
+    x, info = dtrtrs(L, b, lower=1, trans=trans)
+    if info:
+        raise LpNumericalError(f"dtrtrs failed with info {info}")
+    return x
 
 
-def _btran(lu, etas: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
-    """``B^-T v`` for the basis ``B = B0 E1 ... Ek``: apply each eta's
-    transposed inverse in reverse order, then solve with the transposed LU
-    of ``B0``. Overwrites ``v``."""
-    for r, w in reversed(etas):
-        vr = v[r]
-        v[r] = 0.0
-        v[r] = (vr - w @ v) / w[r]
-    return _getrs(lu, v, 1)
+class _Factor:
+    """The LU of a basis ``B0`` and the ``k`` basis changes made since, as
+    one eta block: ``B = B0 E1 ... Ek`` with ``Ej = I + g_j e_rj^T``, where
+    ``r_j`` is the leaving row, ``w_j`` the entering column's FTRAN and
+    ``g_j = w_j - e_rj``. ``G`` holds the ``g_j`` as columns and ``L`` is
+    lower triangular with ``L[j, i] = G[r_j, i]`` (i < j) and
+    ``L[j, j] = w_j[r_j]``: applying the k eta inverses in turn is one
+    triangular solve with ``L`` and one product with ``G``, and a leaving
+    row may repeat. Room for ``_REFACTOR`` changes is allocated once and
+    serves every factorization of a solve; ``lu`` is None while the basis
+    awaits one."""
+
+    def __init__(self, m: int):
+        self.lu = None
+        self.G = np.empty((m, _REFACTOR), order="F")
+        self.L = np.zeros((_REFACTOR, _REFACTOR), order="F")
+        self.r = np.empty(_REFACTOR, dtype=np.intp)
+        self.k = 0
+
+    def refresh(self, A: np.ndarray, basis: np.ndarray) -> None:
+        """Factor the basis ``A[:, basis]`` afresh, with no eta."""
+        self.lu = _factor(A, basis)
+        self.k = 0
+
+    def update(self, r: int, w: np.ndarray) -> None:
+        """Append the basis change that puts FTRAN column ``w`` in row
+        ``r``."""
+        k = self.k
+        self.G[:, k] = w
+        self.G[r, k] -= 1.0
+        self.L[k, :k] = self.G[r, :k]
+        self.L[k, k] = w[r]
+        self.r[k] = r
+        self.k = k + 1
+
+    def ftran(self, a: np.ndarray) -> np.ndarray:
+        """``B^-1 a``: solve with the LU of ``B0``, then apply the etas."""
+        z = _getrs(self.lu, a, 0)
+        k = self.k
+        if k:
+            z -= self.G[:, :k] @ _trtrs(self.L[:, :k], z[self.r[:k]], 0)
+        return z
+
+    def btran(self, v: np.ndarray) -> np.ndarray:
+        """``B^-T v``: apply the transposed etas, then solve with the
+        transposed LU of ``B0``."""
+        k = self.k
+        if k:
+            t = _trtrs(self.L[:, :k], self.G[:, :k].T @ v, 1)
+            v = v - np.bincount(self.r[:k], weights=t, minlength=len(v))
+        return _getrs(self.lu, v, 1)
 
 
 def _pricing(std: _Standard, A: np.ndarray):
@@ -433,42 +479,41 @@ def _leaving(w: np.ndarray, sigma: float, x: np.ndarray, lb: np.ndarray,
 
 def _run_phase(std: _Standard, A: np.ndarray, c: np.ndarray, lb: np.ndarray,
                ub: np.ndarray, x: np.ndarray, state: np.ndarray,
-               basis: np.ndarray, max_iter: int
+               basis: np.ndarray, max_iter: int, factor: _Factor
                ) -> tuple[str, np.ndarray, PhaseStats]:
     """Iterate to optimality for cost vector c. Returns (status, duals,
     counts).
 
-    The basis is factored once and its LU kept across pivots: each basis
-    change appends an eta ``(r, w)``, the leaving row and the entering
-    column's FTRAN, and the basis is factored afresh after ``_REFACTOR``
-    changes. A verdict reached on an updated factor is taken again at a
-    fresh one, so the duals returned always come from a fresh factor of the
-    final basis.
+    ``factor`` holds the LU of ``basis`` with no eta, or no LU. The basis
+    is factored when it has none, and the LU kept across pivots: each basis
+    change joins the eta block, and the basis is factored afresh after
+    ``_REFACTOR`` changes. A verdict reached on an updated factor is taken
+    again at a fresh one, so the duals returned always come from a fresh
+    factor of the final basis, and ``factor`` ends holding it.
     """
     m = len(basis)
     fixed = lb == ub
     stats = PhaseStats()
     price = _pricing(std, A)
-    lu, etas = None, []
     while True:
         if stats.pivots + stats.bound_flips >= max_iter:
             raise LpNumericalError(
                 f"simplex exceeded {max_iter} iterations (possible cycling)")
-        if m and (lu is None or len(etas) >= _REFACTOR):
-            lu, etas = _factor(A, basis), []
+        if m and (factor.lu is None or factor.k >= _REFACTOR):
+            factor.refresh(A, basis)
             stats.factorizations += 1
-        y = _btran(lu, etas, c[basis]) if m else np.zeros(0)
+        y = factor.btran(c[basis]) if m else np.zeros(0)
         rc = price(c, y)
         q, sigma = _entering(rc, state, fixed)
         if q >= 0:
-            w = _ftran(lu, etas, A[:, q]) if m else np.zeros(0)
+            w = factor.ftran(A[:, q]) if m else np.zeros(0)
             flip = (ub[q] - lb[q] if lb[q] > -math.inf and ub[q] < math.inf
                     else math.inf)
             t_best, r_best = _leaving(w, sigma, x, lb, ub, basis, flip)
         if q < 0 or not math.isfinite(t_best):
-            if etas:
+            if factor.k:
                 # confirm the verdict at a fresh factorization
-                lu = None
+                factor.lu = None
                 stats.confirmations += 1
                 continue
             return (OPTIMAL if q < 0 else UNBOUNDED), y, stats
@@ -497,7 +542,7 @@ def _run_phase(std: _Standard, A: np.ndarray, c: np.ndarray, lb: np.ndarray,
                 state[leave] = _AT_UPPER
             basis[r_best] = q
             state[q] = _BASIC
-            etas.append((r_best, w))
+            factor.update(r_best, w)
 
 
 def _feasible_start_basis(std: _Standard, x: np.ndarray,
@@ -621,7 +666,7 @@ def _solve_reference(std: _Standard, c: np.ndarray,
     m = std.m
     max_iter = 50 * (total + m)
     A, lb, ub = std.A, std.lb, std.ub
-    phase_1, drive_outs = None, 0
+    phase_1, drive_outs, factor = None, 0, _Factor(m)
     crashed = std.crash(start) if start is not None and m else None
     if crashed is not None:
         path, (x, state, basis) = CRASHED, crashed
@@ -640,19 +685,22 @@ def _solve_reference(std: _Standard, c: np.ndarray,
         basis = np.arange(total, total + m)
         c1 = np.concatenate([np.zeros(total), np.ones(m)])
         status, _y, phase_1 = _run_phase(std, A, c1, lb, ub, x, state, basis,
-                                         max_iter)
+                                         max_iter, factor)
         if status != OPTIMAL:
             raise LpNumericalError("phase 1 terminated abnormally")
         if float(x[total:].sum()) > EPS * std.b_scale:
             return (INFEASIBLE, x[:std.n], np.zeros(m),
                     SolveStats(PHASE_1, phase_1, None))
         drive_outs = _drive_out_artificials(A, state, basis, total)
+        if drive_outs:
+            # phase 1's final factor may not be of phase 2's basis
+            factor.lu = None
         # artificials, basic ones included, are pinned at zero and priced
         # out for phase 2
         lb[total:] = ub[total:] = 0.0
         c = np.concatenate([c, np.zeros(m)])
     status, y, phase_2 = _run_phase(std, A, c, lb, ub, x, state, basis,
-                                    max_iter)
+                                    max_iter, factor)
     return status, x[:std.n], y, SolveStats(path, phase_1, phase_2, drive_outs)
 
 

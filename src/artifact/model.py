@@ -280,11 +280,7 @@ def parse_scenario(text: str) -> Scenario:
     )
     diagnostics = validate_scenario(scenario)
     if diagnostics:
-        raise ScenarioError(
-            f"invalid scenario ({len(diagnostics)} problem(s)): "
-            + "; ".join(diagnostics),
-            diagnostics=diagnostics,
-        )
+        raise ScenarioError("invalid scenario", diagnostics)
     return scenario
 
 
@@ -334,7 +330,24 @@ def _interval_doc(iv: IntervalSpec) -> dict:
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
-    """Return one diagnostic per violated invariant (empty when valid)."""
+    """Return one diagnostic per violated invariant (empty when valid): those
+    of ``validate_data``, then those of the scenario's mode."""
+    out = validate_data(scenario)
+    if scenario.mode not in MODES:
+        out.append(f"mode: must be one of {', '.join(MODES)}")
+    if scenario.mode == "split_penalty":
+        out.extend(f"intervals[{i}].penalty_price: required in split_penalty "
+                   "mode" for i, iv in enumerate(scenario.intervals)
+                   if iv.penalty_price is None)
+    if (scenario.mode == "ideal"
+            and len({iv.grid.delta_t for iv in scenario.intervals}) > 1):
+        out.append("intervals: ideal mode requires a shared delta_t")
+    return out
+
+
+def validate_data(scenario: Scenario) -> list[str]:
+    """Return one diagnostic per violated invariant of the scenario's data,
+    whatever mode it is cleared in (empty when valid)."""
     out: list[str] = []
     sto = scenario.storage
     if not math.isfinite(sto.capacity) or sto.capacity < 0:
@@ -344,8 +357,6 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     elif (math.isfinite(sto.capacity)
           and sto.initial_energy > sto.capacity + MODEL_EPS):
         out.append("storage.initial_energy: exceeds storage.capacity")
-    if scenario.mode not in MODES:
-        out.append(f"mode: must be one of {', '.join(MODES)}")
     if not (math.isfinite(scenario.discount_rate)
             and 0.0 <= scenario.discount_rate < 1.0):
         out.append("discount_rate: must lie in [0, 1)")
@@ -392,12 +403,6 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if (iv.penalty_price is not None
                 and not math.isfinite(iv.penalty_price)):
             out.append(f"{path}.penalty_price: must be finite")
-        if scenario.mode == "split_penalty" and iv.penalty_price is None:
-            out.append(f"{path}.penalty_price: required in split_penalty mode")
-    if scenario.mode == "ideal" and scenario.intervals:
-        dts = {iv.grid.delta_t for iv in scenario.intervals}
-        if len(dts) > 1:
-            out.append("intervals: ideal mode requires a shared delta_t")
     return out
 
 

@@ -12,8 +12,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import clearing
-from .errors import InfeasibleError
-from .model import Scenario, ValueLedger
+from .errors import InfeasibleError, ScenarioError
+from .model import Scenario, ValueLedger, validate_data
 from .storage_ledger import apply_discount, update_ledger
 
 
@@ -56,7 +56,14 @@ def _interval(index: int):
 
 def run_scenario(scenario: Scenario,
                  compute_ranges: bool = True) -> ScenarioRun:
-    """Clear all intervals of a scenario in its mode."""
+    """Clear all intervals of a scenario in its mode.
+
+    Scenario data that break an invariant (``model.validate_data``) raise
+    ScenarioError with one diagnostic each; what a mode itself requires
+    (penalty prices, a shared ``delta_t``) its clearing checks."""
+    diagnostics = validate_data(scenario)
+    if diagnostics:
+        raise ScenarioError("invalid scenario", diagnostics)
     storage = scenario.storage
     intervals = scenario.intervals
     if scenario.mode == "ideal":

@@ -69,6 +69,34 @@ class TestExitCodes:
         assert code == 2
         assert "capacity" in err
 
+    def test_each_diagnostic_is_printed_once(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        doc = json.loads(TABLE1)
+        doc["storage"]["initial_energy"] = 1.0
+        bad.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "--scenario", str(bad))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: invalid scenario (1 problem(s)):",
+            "  - initial_ledger: total stored energy 0.0 differs from "
+            "storage.initial_energy 1.0"]
+        doc["discount_rate"] = 1.0
+        doc["intervals"][0]["end_level"] = -1.0
+        doc["intervals"][1]["loads"][0]["id"] = ""
+        doc["intervals"][1]["generators"][0]["max"] = [-1.0]
+        bad.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "--scenario", str(bad))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: invalid scenario (5 problem(s)):",
+            "  - discount_rate: must lie in [0, 1)",
+            "  - initial_ledger: total stored energy 0.0 differs from "
+            "storage.initial_energy 1.0",
+            "  - intervals[0].end_level: must be a finite nonnegative energy",
+            "  - intervals[1].loads[0].id: must be nonempty",
+            "  - intervals[1].generators[0].max[0]: must be finite and "
+            "nonnegative"]
+
     @pytest.mark.parametrize("text, named", [
         ("[" * 100000, "nested too deeply"),
         (TABLE1.replace('"capacity": 2.5', '"capacity": ' + "9" * 5000),
@@ -285,8 +313,10 @@ class TestVlbLedgerRecord:
         for k in range(30):
             scn = random_vlb_scenario(rng)
             if k % 2:
-                scn = replace(scn, initial_ledger=random_ledger(
-                    rng, scn.storage.capacity))
+                # the store starts with the energy its ledger prices
+                ledger = random_ledger(rng, scn.storage.capacity)
+                scn = replace(scn, initial_ledger=ledger, storage=StorageSpec(
+                    scn.storage.capacity, ledger.total))
             report = compare(scn, ["vlb"])
             if report.modes[0].error is not None:
                 continue

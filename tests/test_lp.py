@@ -763,8 +763,8 @@ class TestFactorUpdates:
         bases = []
         run_phase = lpmod._run_phase
 
-        def spy(std, A, c, lb, ub, x, state, basis, max_iter):
-            out = run_phase(std, A, c, lb, ub, x, state, basis, max_iter)
+        def spy(std, A, c, lb, ub, x, state, basis, *rest):
+            out = run_phase(std, A, c, lb, ub, x, state, basis, *rest)
             bases.append(basis.tolist())
             return out
 
@@ -814,7 +814,7 @@ class TestFactorUpdates:
                 random_interval(rng, capacity, n_periods=24, delta_t=1.0,
                                 end_level=float(rng.uniform(0.1, 0.5))
                                 * capacity)
-                for _ in range(2))
+                for _ in range(3))
             prog = clear_ideal(StorageSpec(capacity, 0.0), intervals,
                                compute_ranges=False).lp
             got = self._assert_same_path(monkeypatch, prog)
@@ -840,14 +840,73 @@ class TestFactorUpdates:
                           compute_ranges=False)
         stats = res.lp_solution.stats
         assert stats.start == lpmod.PHASE_1
+        assert stats.drive_outs == 0
         phases = [stats.phase_1, stats.phase_2]
-        # one factorization to start each phase, one per _REFACTOR pivots
-        # after it, one per verdict confirmed, one per drive-out
-        assert stats.factorizations == sum(
-            1 + p.pivots // lpmod._REFACTOR + p.confirmations
-            for p in phases) + stats.drive_outs
+        # one factorization to start phase 1, one per _REFACTOR pivots after
+        # the start of each phase, one per verdict confirmed; with nothing
+        # to drive out, phase 2 starts on phase 1's final factor
+        assert stats.factorizations == 1 + sum(
+            p.pivots // lpmod._REFACTOR + p.confirmations for p in phases)
         # refactoring at every pivot made one per iteration
         assert stats.pivots > 10 * stats.factorizations
+
+
+def _ftran_by_loop(lu, etas, a):
+    """``B^-1 a`` for ``B = B0 E1 ... Ek``, one eta ``(r, w)`` at a time in
+    order: the reference for ``_Factor.ftran``."""
+    z = lpmod._getrs(lu, a, 0)
+    for r, w in etas:
+        zr = z[r] / w[r]
+        z -= zr * w
+        z[r] = zr
+    return z
+
+
+def _btran_by_loop(lu, etas, v):
+    """``B^-T v``, one transposed eta at a time in reverse order: the
+    reference for ``_Factor.btran``."""
+    v = v.copy()
+    for r, w in reversed(etas):
+        vr = v[r]
+        v[r] = 0.0
+        v[r] = (vr - w @ v) / w[r]
+    return lpmod._getrs(lu, v, 1)
+
+
+class TestEtaBlockAgainstLoop:
+    """The eta block's one triangular solve applies a sequence of basis
+    changes as the eta-by-eta loops do, to 1e-12 relative, on sequences up
+    to ``_REFACTOR`` long whose leaving rows repeat."""
+
+    def test_random_eta_sequences(self):
+        rng = np.random.default_rng(45)
+        repeats = 0
+        for _ in range(300):
+            m = int(rng.integers(1, 60))
+            B0 = rng.uniform(-1.0, 1.0, (m, m)) + m * np.eye(m)
+            factor = lpmod._Factor(m)
+            factor.refresh(B0, np.arange(m))
+            etas = []
+            # half the leaving rows come from a few, so rows repeat
+            few = rng.integers(m, size=min(m, 4))
+            for _k in range(int(rng.integers(0, lpmod._REFACTOR + 1))):
+                r = int(rng.choice(few) if rng.random() < 0.5
+                        else rng.integers(m))
+                w = np.where(rng.random(m) < 3 / m,
+                             rng.uniform(-1.0, 1.0, m), 0.0)
+                w[r] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+                factor.update(r, w)
+                etas.append((r, w))
+            rows = [r for r, _w in etas]
+            repeats += len(rows) - len(set(rows))
+            a, v = rng.uniform(-1.0, 1.0, (2, m))
+            for got, want in ((factor.ftran(a),
+                               _ftran_by_loop(factor.lu, etas, a)),
+                              (factor.btran(v),
+                               _btran_by_loop(factor.lu, etas, v))):
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert repeats >= 1000
 
 
 def _initial_point_by_loop(std):
@@ -1086,8 +1145,8 @@ class TestPricingAgainstDense:
         bases = []
         run_phase = lpmod._run_phase
 
-        def spy(std, A, c, lb, ub, x, state, basis, max_iter):
-            out = run_phase(std, A, c, lb, ub, x, state, basis, max_iter)
+        def spy(std, A, c, lb, ub, x, state, basis, *rest):
+            out = run_phase(std, A, c, lb, ub, x, state, basis, *rest)
             bases.append(basis.tolist())
             return out
 

@@ -25,7 +25,8 @@ from artifact.metrics import (
     participant_surpluses,
     social_welfare,
 )
-from artifact.model import MODES, Scenario, StorageSpec
+from artifact.model import (MODES, Scenario, StorageSpec, ValueBucket,
+                            ValueLedger)
 from artifact.runner import run_scenario
 from helpers import (
     interval,
@@ -193,11 +194,12 @@ class TestCostRecoveryAudit:
     def test_open_stretches_on_either_side_of_one_empty_boundary(self):
         # The store starts with 1 MWh, empties at the one interior boundary
         # and ends holding 1 MWh again: no closed cycle, so both intervals
-        # form one open stretch.
+        # form one open stretch. The ledger holds the starting 1 MWh.
         scn = Scenario(StorageSpec(capacity=2.5, initial_energy=1.0), (
             interval([10.0], [2.0], [[12.0]], [[2.0]], 0.0),
             interval([10.0], [0.0], [[2.0]], [[2.0]], 1.0),
-        ), "split_end_level")
+        ), "split_end_level", initial_ledger=ValueLedger.from_buckets(
+            [ValueBucket(5.0, 1.0, 1)]))
         results, bids = list(run_scenario(scn).results), list(scn.intervals)
         assert [res.final_content for res in results] == approx([0.0, 1.0])
         assert detect_cycles(results) == []

@@ -21,6 +21,7 @@ from artifact.model import (
     serialize_scenario,
     validate_scenario,
 )
+from artifact.runner import run_scenario
 from helpers import interval, table1_scenario, table5_scenario
 
 MINIMAL = """
@@ -256,6 +257,16 @@ class TestValidation:
                 f"from storage.initial_energy {initial!r}",)
         doc["initial_ledger"] = ledger
         assert parse_scenario(json.dumps(doc)).initial_ledger.total == 1.0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_run_scenario_rejects_a_mismatched_ledger(self, mode):
+        # a scenario built in code gets the diagnostics a document gets
+        scn = replace(table5_scenario(mode), storage=StorageSpec(2.5, 1.0))
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(scn)
+        assert err.value.diagnostics == (
+            "initial_ledger: total stored energy 0.0 differs from "
+            "storage.initial_energy 1.0",)
 
     def test_nonpositive_bucket_rejected(self):
         scn = table1_scenario("vlb")
