@@ -26,7 +26,8 @@ Conventions
   reduced costs and a crash's bound test; ``_RATIO_TIE`` (1e-12) for ties
   in the ratio test; ``_SINGULAR`` (1e-12) for a singular basis LU;
   ``_START_TOL`` (1e-12) for a feasible start's slacks; ``_ANCHOR_TOL``
-  (1e-9) for the bound at which the dual face anchors a column.
+  (1e-9) for how close an optimal column value or row slack must be to a
+  bound for the dual face to count it as sitting there.
 * ``_REFACTOR`` (64) is the number of basis changes between fresh
   factorizations of the basis.
 
@@ -56,19 +57,21 @@ terms so add up in row order. The basis factorization, the start paths and
 the certificate check use the dense ``A``, so the certificate stays an
 independent check of the pricing.
 
-Ranging builds one dual face per ranged solution. Every label's range
-solves the same face (Jansen, de Jong, Roos & Terlaky, EJOR 101, 1997), and
-only its objective, a single 1.0 on the label's dual, changes between
-labels. So ``dual_range`` keeps the face on the primal LP for the solution
-it ranges, and ``solve`` keeps each LP's standard form (its constraints,
-no objective) and the basis crashed at the last ``start``: ranging T
-labels builds, standardizes and crashes the face once and runs 2T
-certified phase-2 solves on it, each from the crash at the published dual.
-``stationarity_op`` is the rule that reads, from an optimal column value,
-which side of its stationarity row the face keeps; ``artifact.clearing``
-applies the same rule to range the storage-chain clearings without a face.
-Adding a variable or a row to an LP drops what it keeps. An LP is a
-mutable builder, used from one thread at a time.
+Ranging builds one dual face per ranged solution: the duals complementary
+to the optimal primal (Jansen, de Jong, Roos & Terlaky, EJOR 101, 1997),
+whose finite endpoints are bid or bucket prices, or 0, up to rounding.
+Every label's range solves the same face; only its objective, a single 1.0
+on the label's dual, changes between labels. So ``dual_range`` keeps the
+face on the primal LP for the solution it ranges, and ``solve`` keeps each
+LP's standard form (its constraints, no objective) and the basis crashed at
+the last ``start``: ranging T labels builds, standardizes and crashes the
+face once and runs 2T certified phase-2 solves on it, each from the crash
+at the published dual. ``stationarity_op`` is the rule that reads, from an
+optimal column value or row slack, which side of its stationarity row the
+face keeps; ``artifact.clearing`` applies the same rule to range the
+storage-chain clearings without a face. Adding a variable or a row to an LP
+drops what it keeps. An LP is a mutable builder, used from one thread at a
+time.
 """
 
 from __future__ import annotations
@@ -101,7 +104,10 @@ CRASHED = "crashed"
 FEASIBLE_START = "feasible start"
 PHASE_1 = "phase 1"
 
-_OPS = ("<=", "==", ">=")
+# the bounds of the slack s = b - a.x of a row ``a.x op b``
+_SLACK_BOUNDS = {"<=": (0.0, math.inf), "==": (0.0, 0.0),
+                 ">=": (-math.inf, 0.0)}
+_OPS = tuple(_SLACK_BOUNDS)
 
 
 class LinearProgram:
@@ -282,11 +288,7 @@ class _Standard:
                 cols.append(lp._index[name])
                 vals.append(coef)
             self.b[i] = rhs
-            if op == "<=":
-                self.lb[n + i], self.ub[n + i] = 0.0, math.inf
-            elif op == ">=":
-                self.lb[n + i], self.ub[n + i] = -math.inf, 0.0
-            # "==": slack fixed at [0, 0]
+            self.lb[n + i], self.ub[n + i] = _SLACK_BOUNDS[op]
         # A's entries in row order, the slack identity last, so that
         # pricing adds each column's terms in row order
         rows += range(m)
@@ -793,7 +795,8 @@ def solve(lp: LinearProgram, start: ArrayLike | None = None) -> LpSolution:
 def dual_range(lp: LinearProgram, solution: LpSolution,
                label: str) -> tuple[float, float]:
     """Exact multiplicity range of one constraint's dual over the optimal dual
-    face (dual feasibility plus dual objective equal to the primal optimum).
+    face: the dual feasible points complementary to the optimal primal.
+    Finite endpoints are a bid or bucket price, or 0, up to rounding.
 
     The face is solved twice, for the least and the greatest dual. Both
     solves go through ``solve``, so both are certificate-checked, and both
@@ -854,7 +857,9 @@ def stationarity_op(x: float, lb: float, ub: float) -> str | None:
     column that complementarity with its optimal value ``x`` admits: None
     for a fixed column (no row), ``"<="`` at its upper bound, ``">="`` at
     its lower bound and ``"=="`` strictly between, each bound judged to
-    ``_ANCHOR_TOL``."""
+    ``_ANCHOR_TOL``. It also reads a row's slack ``b - a.x`` within the
+    slack's bounds: the slack column's row is ``y_row op 0``, so a row whose
+    slack is beyond ``_ANCHOR_TOL`` has a zero dual."""
     if lb == ub:
         return None
     if ub < math.inf and x >= ub - _ANCHOR_TOL:
@@ -868,53 +873,30 @@ def _dual_face(lp: LinearProgram, solution: LpSolution,
                label: str) -> tuple[LinearProgram, float]:
     """The optimal dual face with objective ``y[label]``, and the sign that
     orients its variables: -1 when the primal is a min problem."""
-    # The face is built in max orientation; for a min primal the face of
-    # the negated-objective max problem has every dual negated.
-    #
-    # The face is expressed in the row duals alone. Every point of it is an
-    # optimal dual, so it is complementary to the known optimal primal x*:
-    # the multiplier of a bound x* does not sit on must vanish. That pins,
-    # per column, which side of the reduced cost c_j - y.a_j is admissible
-    # (at lower bound: <= 0, at upper: >= 0, interior or free: = 0, fixed:
-    # unrestricted) and makes the surviving multiplier an affine function of
-    # y, so the bound terms of the dual objective fold into the
-    # strong-duality row instead of needing multiplier variables.
+    # The face, in max orientation (a min primal's duals negated), is the
+    # dual feasible y complementary to the optimal primal x*. A row's slack
+    # column has a 1 in the row and cost 0, so its side is a bound on the
+    # row's dual: 0 when inactive, the slack's sign set when active.
     sgn = -1.0 if lp.sense == "min" else 1.0
-    z_star = sgn * solution.objective
+    x = solution.primal
     face = LinearProgram(name=f"{lp.name}:dualface:{label}")
-    for lab, _coeffs, op, _rhs in lp._rows:
-        if op == "<=":
-            ylb, yub = 0.0, math.inf
-        elif op == ">=":
-            ylb, yub = -math.inf, 0.0
-        else:
-            ylb, yub = -math.inf, math.inf
-        obj = 1.0 if lab == label else 0.0
-        face.add_variable(f"y[{lab}]", lb=ylb, ub=yub, objective=obj)
     cols: dict[str, dict[str, float]] = {name: {} for name in lp.variable_names}
-    strong: dict[str, float] = {}
-    for lab, coeffs, _op, rhs in lp._rows:
-        if rhs:
-            strong[f"y[{lab}]"] = rhs
+    for lab, coeffs, op, rhs in lp._rows:
+        slb, sub = _SLACK_BOUNDS[op]
+        side = stationarity_op(
+            rhs - sum(coef * x[name] for name, coef in coeffs.items()),
+            slb, sub)
+        ylb, yub = ((-math.inf, math.inf) if side is None
+                    else (0.0, 0.0) if side == "==" else (slb, sub))
+        face.add_variable(f"y[{lab}]", lb=ylb, ub=yub,
+                          objective=1.0 if lab == label else 0.0)
         for name, coef in coeffs.items():
-            cols[name][f"y[{lab}]"] = cols[name].get(f"y[{lab}]", 0.0) + coef
-    shift = 0.0
+            cols[name][f"y[{lab}]"] = coef
     for name in lp.variable_names:
-        vlb, vub = lp.bounds(name)
-        x_j = solution.primal[name]
-        c_j = sgn * lp.objective_coefficient(name)
-        a_j = cols[name]
-        op = stationarity_op(x_j, vlb, vub)
-        anchor = vub if op == "<=" else 0.0 if op == "==" else vlb
+        op = stationarity_op(x[name], *lp.bounds(name))
         if op is not None:
-            face.add_constraint(f"stationarity[{name}]", dict(a_j), op, c_j)
-        if anchor:
-            # surviving multiplier: +/-(y.a_j - c_j); its bound term
-            # anchor * multiplier becomes anchor * (c_j - y.a_j)
-            shift += anchor * c_j
-            for ylab, coef in a_j.items():
-                strong[ylab] = strong.get(ylab, 0.0) - anchor * coef
-    face.add_constraint("strong_duality", strong, "==", z_star - shift)
+            face.add_constraint(f"stationarity[{name}]", cols[name], op,
+                                sgn * lp.objective_coefficient(name))
     return face, sgn
 
 

@@ -1442,3 +1442,60 @@ class TestKeptStateNeverGoesStale:
             _same_solution(got, want)
         # crashed again at each change of start, and only then
         assert crashed == [[0.0, 4.0], [4.0, 0.0], [0.0, 4.0]]
+
+
+def _rows_face_lp(room: float, sense: str = "max") -> lpmod.LinearProgram:
+    """max x1 + x2 (or min -x1 - x2) with x1 capped at 1 by an active
+    ``<=`` row, x2 fixed at 2 by an ``==`` row, a ``<=`` row over both with
+    ``room`` to spare and an inactive ``>=`` row under x2."""
+    sign = 1.0 if sense == "max" else -1.0
+    prog = lpmod.LinearProgram(name="rows", sense=sense)
+    prog.add_variable("x1", objective=sign)
+    prog.add_variable("x2", objective=sign)
+    prog.add_constraint("cap", {"x1": 1.0}, "<=", 1.0)
+    prog.add_constraint("room", {"x1": 1.0, "x2": 1.0}, "<=", 3.0 + room)
+    prog.add_constraint("fix", {"x2": 1.0}, "==", 2.0)
+    prog.add_constraint("floor", {"x2": 1.0}, ">=", 1.0)
+    return prog
+
+
+class TestComplementaryFace:
+    """The dual face is the set of duals complementary to the optimal
+    primal: each row's dual takes its bounds from ``stationarity_op`` on the
+    row's slack, each column keeps its stationarity row, and no row ties
+    the dual objective to the primal optimum."""
+
+    @staticmethod
+    def _face(prog):
+        sol = lpmod.solve(prog)
+        assert sol.status == lpmod.OPTIMAL
+        assert (sol.primal["x1"], sol.primal["x2"]) == (1.0, 2.0)
+        face, sgn = lpmod._dual_face(prog, sol, "cap")
+        assert sgn == (1.0 if prog.sense == "max" else -1.0)
+        return sol, face
+
+    def test_row_bounds_follow_the_slack(self):
+        prog = _rows_face_lp(room=2.0)
+        sol, face = self._face(prog)
+        assert face.bounds("y[cap]") == (0.0, math.inf)
+        assert face.bounds("y[room]") == (0.0, 0.0)
+        assert face.bounds("y[fix]") == (-math.inf, math.inf)
+        assert face.bounds("y[floor]") == (0.0, 0.0)
+        assert face.constraint_labels == ("stationarity[x1]",
+                                          "stationarity[x2]")
+        assert "strong_duality" not in face.constraint_labels
+        assert lpmod.dual_range(prog, sol, "cap") == (1.0, 1.0)
+        assert lpmod.dual_range(prog, sol, "fix") == (1.0, 1.0)
+
+    def test_slack_within_the_anchor_tolerance_is_active(self):
+        _sol, face = self._face(_rows_face_lp(room=0.5 * lpmod._ANCHOR_TOL))
+        assert face.bounds("y[room]") == (0.0, math.inf)
+        _sol, face = self._face(_rows_face_lp(room=2.0 * lpmod._ANCHOR_TOL))
+        assert face.bounds("y[room]") == (0.0, 0.0)
+
+    def test_min_primal_face_holds_negated_duals(self):
+        prog = _rows_face_lp(room=2.0, sense="min")
+        sol, face = self._face(prog)
+        assert face.bounds("y[cap]") == (0.0, math.inf)
+        assert face.bounds("y[room]") == (0.0, 0.0)
+        assert lpmod.dual_range(prog, sol, "cap") == (-1.0, -1.0)
