@@ -49,11 +49,16 @@ Basic values are updated along the path and never recomputed; the
 certificate check guards against drift. ``LpSolution.stats`` counts what a
 solve did.
 
-Pricing computes the reduced costs ``c - A.T @ y`` from the entries of
-``A`` alone, not from the dense product: the standard form keeps the
-coefficients as (row, column, value) arrays in row order with the slack
-identity last, and phase 1 appends its artificial diagonal. Each column's
-terms so add up in row order. The basis factorization, the start paths and
+The standard form keeps ``A`` as its entries alone: (row, column, value)
+arrays in row order with the slack identity last. A solve builds the dense
+``A`` once from them and drops it when it returns, so a solved LP keeps no
+matrix. Phase 1's artificial columns are never stored: they are the sign
+vector ``art_sign``, column ``n + m + i`` being ``art_sign[i]`` in row
+``i``. Pricing computes the reduced costs ``c - A.T @ y`` from the entries
+(and the artificial diagonal, in phase 1 and the phase 2 after it), not
+from the dense product, so each column's terms add up in row order. The
+basis factorization gathers the basis columns from the dense ``A`` straight
+into a column-major array that LAPACK factors in place. The start paths and
 the certificate check use the dense ``A``, so the certificate stays an
 independent check of the pricing.
 
@@ -129,7 +134,7 @@ class LinearProgram:
         self._ub: list[float] = []
         self._obj: list[float] = []
         self._rows: list[tuple[str, dict[str, float], str, float]] = []
-        self._labels: set[str] = set()
+        self._labels: dict[str, int] = {}
         self._standard: _Standard | None = None
         # (solution, face, sign, start) of the last ranged solution
         self._face: tuple | None = None
@@ -162,7 +167,7 @@ class LinearProgram:
             if name not in self._index:
                 raise ValueError(f"constraint {label!r} uses unknown variable {name!r}")
         self._standard = self._face = None
-        self._labels.add(label)
+        self._labels[label] = len(self._rows)
         self._rows.append((label, dict(coeffs), op, float(rhs)))
 
     # -- introspection -----------------------------------------------------
@@ -181,7 +186,7 @@ class LinearProgram:
 
     @property
     def constraint_labels(self) -> tuple[str, ...]:
-        return tuple(r[0] for r in self._rows)
+        return tuple(self._labels)
 
     def bounds(self, name: str) -> tuple[float, float]:
         j = self._index[name]
@@ -270,8 +275,10 @@ class LpSolution:
 class _Standard:
     """Internal min-form constraints A x = b, lb <= x <= ub, where columns
     [0, n) are the user's variables and [n, n+m) are row slacks, with
-    ``b_scale = max(1, max|b|)``. No objective (``_objective`` reads that
-    at each solve): it holds while the LP gains no variable or row."""
+    ``b_scale = max(1, max|b|)``. ``A`` is held as its entries alone:
+    ``dense`` builds the matrix for one solve, and nothing keeps it. No
+    objective (``_objective`` reads that at each solve): it holds while the
+    LP gains no variable or row."""
 
     def __init__(self, lp: LinearProgram):
         self.n = n = lp.n_variables
@@ -297,19 +304,24 @@ class _Standard:
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
         vals = np.asarray(vals, dtype=float) + 0.0  # -0.0 -> 0.0
-        self.A = np.zeros((m, n + m))
-        self.A[rows, cols] = vals
         self.entries = rows, cols, vals
         self.b_scale = max(1.0, float(np.max(np.abs(self.b), initial=0.0)))
 
-    def crash(self, start: np.ndarray
+    def dense(self) -> np.ndarray:
+        """The dense ``A``, built from the entries."""
+        rows, cols, vals = self.entries
+        A = np.zeros((self.m, self.n + self.m))
+        A[rows, cols] = vals
+        return A
+
+    def crash(self, A: np.ndarray, start: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """``_crash_basis(self, start)``, kept for the last ``start`` (by its
-        exact bytes). Hands out copies: phase 2 moves the point, the states
-        and the basis in place."""
+        """``_crash_basis(self, A, start)``, kept for the last ``start`` (by
+        its exact bytes). Hands out copies: phase 2 moves the point, the
+        states and the basis in place."""
         key = start.tobytes()
         if key != self._crash_key:
-            self._crash_key, self._crashed = key, _crash_basis(self, start)
+            self._crash_key, self._crashed = key, _crash_basis(self, A, start)
         if self._crashed is None:
             return None
         return tuple(a.copy() for a in self._crashed)
@@ -333,11 +345,20 @@ def _initial_point(std: _Standard) -> tuple[np.ndarray, np.ndarray]:
     return x, state
 
 
-def _factor(A: np.ndarray, basis: np.ndarray):
-    B = A[:, basis]
-    lu, piv = lu_factor(B, check_finite=False)
+def _factor(A: np.ndarray, art_sign: np.ndarray, basis: np.ndarray):
+    """The LU of the basis columns of ``[A, diag(art_sign)]``, gathered
+    column-major and factored in place."""
+    total = A.shape[1]
+    art = np.flatnonzero(basis >= total)
+    B = A.T[np.where(basis < total, basis, 0)].T
+    if art.size:
+        rows = basis[art] - total
+        B[:, art] = 0.0
+        B[rows, art] = art_sign[rows]
+    # max|B|, read before LAPACK overwrites B with its LU
+    scale = max(1.0, float(B.max()), -float(B.min()))
+    lu, piv = lu_factor(B, overwrite_a=True, check_finite=False)
     diag = np.abs(np.diag(lu))
-    scale = max(1.0, float(np.max(np.abs(B))))
     if not np.all(np.isfinite(lu)) or float(np.min(diag)) < _SINGULAR * scale:
         raise LpNumericalError("singular basis matrix")
     return lu, piv
@@ -380,9 +401,10 @@ class _Factor:
         self.r = np.empty(_REFACTOR, dtype=np.intp)
         self.k = 0
 
-    def refresh(self, A: np.ndarray, basis: np.ndarray) -> None:
-        """Factor the basis ``A[:, basis]`` afresh, with no eta."""
-        self.lu = _factor(A, basis)
+    def refresh(self, A: np.ndarray, art_sign: np.ndarray,
+                basis: np.ndarray) -> None:
+        """Factor the basis afresh, with no eta."""
+        self.lu = _factor(A, art_sign, basis)
         self.k = 0
 
     def update(self, r: int, w: np.ndarray) -> None:
@@ -414,18 +436,27 @@ class _Factor:
         return _getrs(self.lu, v, 1)
 
 
-def _pricing(std: _Standard, A: np.ndarray):
-    """The reduced costs ``c - A.T @ y`` as a function of ``(c, y)``,
-    summed over the entries of ``A``: the standard form's, plus phase 1's
-    artificial diagonal when ``A`` has one."""
+def _column(A: np.ndarray, art_sign: np.ndarray, q: int) -> np.ndarray:
+    """Column ``q`` of ``[A, diag(art_sign)]``."""
+    total = A.shape[1]
+    if q < total:
+        return A[:, q]
+    a = np.zeros(len(art_sign))
+    a[q - total] = art_sign[q - total]
+    return a
+
+
+def _pricing(std: _Standard, art_sign: np.ndarray):
+    """The reduced costs ``c - [A, diag(art_sign)].T @ y`` as a function of
+    ``(c, y)``, summed over the entries of ``A`` and phase 1's artificial
+    diagonal, if any."""
     rows, cols, vals = std.entries
-    if A.shape[1] > std.n + std.m:
+    size = std.n + std.m + len(art_sign)
+    if len(art_sign):
         i = np.arange(std.m)
-        art = std.n + std.m + i
         rows = np.concatenate([rows, i])
-        cols = np.concatenate([cols, art])
-        vals = np.concatenate([vals, A[i, art]])
-    size = A.shape[1]
+        cols = np.concatenate([cols, std.n + std.m + i])
+        vals = np.concatenate([vals, art_sign])
 
     def price(c: np.ndarray, y: np.ndarray) -> np.ndarray:
         return c - np.bincount(cols, weights=vals * y[rows], minlength=size)
@@ -479,12 +510,12 @@ def _leaving(w: np.ndarray, sigma: float, x: np.ndarray, lb: np.ndarray,
     return t_best, r_best
 
 
-def _run_phase(std: _Standard, A: np.ndarray, c: np.ndarray, lb: np.ndarray,
-               ub: np.ndarray, x: np.ndarray, state: np.ndarray,
-               basis: np.ndarray, max_iter: int, factor: _Factor
-               ) -> tuple[str, np.ndarray, PhaseStats]:
-    """Iterate to optimality for cost vector c. Returns (status, duals,
-    counts).
+def _run_phase(std: _Standard, A: np.ndarray, art_sign: np.ndarray,
+               c: np.ndarray, lb: np.ndarray, ub: np.ndarray, x: np.ndarray,
+               state: np.ndarray, basis: np.ndarray, max_iter: int,
+               factor: _Factor) -> tuple[str, np.ndarray, PhaseStats]:
+    """Iterate to optimality for cost vector c over the columns of
+    ``[A, diag(art_sign)]``. Returns (status, duals, counts).
 
     ``factor`` holds the LU of ``basis`` with no eta, or no LU. The basis
     is factored when it has none, and the LU kept across pivots: each basis
@@ -496,19 +527,19 @@ def _run_phase(std: _Standard, A: np.ndarray, c: np.ndarray, lb: np.ndarray,
     m = len(basis)
     fixed = lb == ub
     stats = PhaseStats()
-    price = _pricing(std, A)
+    price = _pricing(std, art_sign)
     while True:
         if stats.pivots + stats.bound_flips >= max_iter:
             raise LpNumericalError(
                 f"simplex exceeded {max_iter} iterations (possible cycling)")
         if m and (factor.lu is None or factor.k >= _REFACTOR):
-            factor.refresh(A, basis)
+            factor.refresh(A, art_sign, basis)
             stats.factorizations += 1
         y = factor.btran(c[basis]) if m else np.zeros(0)
         rc = price(c, y)
         q, sigma = _entering(rc, state, fixed)
         if q >= 0:
-            w = factor.ftran(A[:, q]) if m else np.zeros(0)
+            w = factor.ftran(_column(A, art_sign, q)) if m else np.zeros(0)
             flip = (ub[q] - lb[q] if lb[q] > -math.inf and ub[q] < math.inf
                     else math.inf)
             t_best, r_best = _leaving(w, sigma, x, lb, ub, basis, flip)
@@ -547,7 +578,7 @@ def _run_phase(std: _Standard, A: np.ndarray, c: np.ndarray, lb: np.ndarray,
             factor.update(r_best, w)
 
 
-def _feasible_start_basis(std: _Standard, x: np.ndarray,
+def _feasible_start_basis(std: _Standard, A: np.ndarray, x: np.ndarray,
                           state: np.ndarray) -> np.ndarray | None:
     """If the nonbasic start satisfies every row once slacks take their
     natural activity values, place those slacks, build a deterministic basis
@@ -556,7 +587,7 @@ def _feasible_start_basis(std: _Standard, x: np.ndarray,
     infeasible."""
     n, m = std.n, std.m
     lo, hi = std.lb[n:], std.ub[n:]
-    want = std.b - std.A[:, :n] @ x[:n]
+    want = std.b - A[:, :n] @ x[:n]
     tol = _START_TOL * std.b_scale
     if np.any(want < lo - tol) or np.any(want > hi + tol):
         return None
@@ -567,7 +598,7 @@ def _feasible_start_basis(std: _Standard, x: np.ndarray,
     x[n:] = np.where(forced, want, np.where(upper, hi, lo))
     state[n:] = np.where(forced, _BASIC, np.where(upper, _AT_UPPER, _AT_LOWER))
     basis = np.where(forced, n + np.arange(m), -1)
-    W = std.A.copy()
+    W = A.copy()
     for i in np.flatnonzero(~forced):
         usable = np.flatnonzero((state != _BASIC)
                                 & (np.abs(W[i]) > _PIVOT_EPS))
@@ -582,17 +613,18 @@ def _feasible_start_basis(std: _Standard, x: np.ndarray,
     return basis
 
 
-def _drive_out_artificials(A: np.ndarray, state: np.ndarray,
-                           basis: np.ndarray, n_real: int) -> int:
+def _drive_out_artificials(A: np.ndarray, art_sign: np.ndarray,
+                           state: np.ndarray, basis: np.ndarray) -> int:
     """Replace basic artificial columns (all at value zero after a feasible
-    phase 1) with the lowest-index real column having a usable pivot. An
+    phase 1) with the lowest-index column of ``A`` having a usable pivot. An
     artificial without one (a redundant row) stays basic. Returns the number
     of basis factorizations made, one per artificial."""
+    n_real = A.shape[1]
     arts = np.flatnonzero(basis >= n_real)
     for k in arts:
         ek = np.zeros(len(basis))
         ek[k] = 1.0
-        row = _getrs(_factor(A, basis), ek, 1) @ A[:, :n_real]
+        row = _getrs(_factor(A, art_sign, basis), ek, 1) @ A
         usable = np.flatnonzero((state[:n_real] != _BASIC)
                                 & (np.abs(row) > _PIVOT_EPS))
         if usable.size:
@@ -602,7 +634,7 @@ def _drive_out_artificials(A: np.ndarray, state: np.ndarray,
     return len(arts)
 
 
-def _crash_basis(std: _Standard, start: np.ndarray
+def _crash_basis(std: _Standard, A: np.ndarray, start: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Build a feasible basis at a given point of the structural columns.
 
@@ -616,7 +648,7 @@ def _crash_basis(std: _Standard, start: np.ndarray
     a vertex).
     """
     n, m = std.n, std.m
-    A, lb, ub = std.A, std.lb, std.ub
+    lb, ub = std.lb, std.ub
     x = np.concatenate([start, std.b - A[:, :n] @ start])
     if not np.all(np.isfinite(x)):
         return None
@@ -657,43 +689,44 @@ def _crash_basis(std: _Standard, start: np.ndarray
     return x, state, basis
 
 
-def _solve_reference(std: _Standard, c: np.ndarray,
+def _solve_reference(std: _Standard, A: np.ndarray, c: np.ndarray,
                      start: np.ndarray | None = None
                      ) -> tuple[str, np.ndarray, np.ndarray, SolveStats]:
-    """Bounded simplex for the min-form costs ``c``. Phase 2 starts from a
-    basis crashed at ``start`` when that is a feasible vertex, else from a
-    feasible nonbasic start, else after phase 1. Returns (status, x,
-    internal duals, counts)."""
+    """Bounded simplex for the min-form costs ``c`` over the standard form
+    with dense matrix ``A``. Phase 2 starts from a basis crashed at
+    ``start`` when that is a feasible vertex, else from a feasible nonbasic
+    start, else after phase 1, whose artificial columns are the signs
+    ``art_sign`` alone: column ``total + i`` is ``art_sign[i]`` in row
+    ``i``. Returns (status, x, internal duals, counts)."""
     total = std.n + std.m
     m = std.m
     max_iter = 50 * (total + m)
-    A, lb, ub = std.A, std.lb, std.ub
+    lb, ub, art_sign = std.lb, std.ub, np.zeros(0)
     phase_1, drive_outs, factor = None, 0, _Factor(m)
-    crashed = std.crash(start) if start is not None and m else None
+    crashed = std.crash(A, start) if start is not None and m else None
     if crashed is not None:
         path, (x, state, basis) = CRASHED, crashed
     else:
         x, state = _initial_point(std)
-        basis = _feasible_start_basis(std, x, state)
+        basis = _feasible_start_basis(std, A, x, state)
         path = FEASIBLE_START if basis is not None else PHASE_1
     if basis is None:
         residual = std.b - A @ x
         art_sign = np.where(residual >= 0, 1.0, -1.0)
-        A = np.hstack([A, np.diag(art_sign)])
         lb = np.concatenate([lb, np.zeros(m)])
         ub = np.concatenate([ub, np.full(m, math.inf)])
         x = np.concatenate([x, np.abs(residual)])
         state = np.concatenate([state, np.full(m, _BASIC, dtype=np.int8)])
         basis = np.arange(total, total + m)
         c1 = np.concatenate([np.zeros(total), np.ones(m)])
-        status, _y, phase_1 = _run_phase(std, A, c1, lb, ub, x, state, basis,
-                                         max_iter, factor)
+        status, _y, phase_1 = _run_phase(std, A, art_sign, c1, lb, ub, x,
+                                         state, basis, max_iter, factor)
         if status != OPTIMAL:
             raise LpNumericalError("phase 1 terminated abnormally")
         if float(x[total:].sum()) > EPS * std.b_scale:
             return (INFEASIBLE, x[:std.n], np.zeros(m),
                     SolveStats(PHASE_1, phase_1, None))
-        drive_outs = _drive_out_artificials(A, state, basis, total)
+        drive_outs = _drive_out_artificials(A, art_sign, state, basis)
         if drive_outs:
             # phase 1's final factor may not be of phase 2's basis
             factor.lu = None
@@ -701,8 +734,8 @@ def _solve_reference(std: _Standard, c: np.ndarray,
         # out for phase 2
         lb[total:] = ub[total:] = 0.0
         c = np.concatenate([c, np.zeros(m)])
-    status, y, phase_2 = _run_phase(std, A, c, lb, ub, x, state, basis,
-                                    max_iter, factor)
+    status, y, phase_2 = _run_phase(std, A, art_sign, c, lb, ub, x, state,
+                                    basis, max_iter, factor)
     return status, x[:std.n], y, SolveStats(path, phase_1, phase_2, drive_outs)
 
 
@@ -715,20 +748,20 @@ def check_certificates(lp: LinearProgram,
     x = np.array([solution.primal[name] for name in lp.variable_names], dtype=float)
     y_user = np.array([solution.duals[label] for label in lp.constraint_labels],
                       dtype=float)
-    return _certify(std, c, x, sign * y_user)
+    return _certify(std, std.dense(), c, x, sign * y_user)
 
 
-def _certify(std: _Standard, c: np.ndarray, x: np.ndarray,
+def _certify(std: _Standard, A: np.ndarray, c: np.ndarray, x: np.ndarray,
              y: np.ndarray) -> CertificateReport:
     """Certificate residuals of structural values ``x`` and internal
-    min-form duals ``y`` for the costs ``c`` against one standard form,
-    judged to ``EPS``."""
+    min-form duals ``y`` for the costs ``c`` against one standard form with
+    dense matrix ``A``, judged to ``EPS``."""
     n = std.n
     # recover slack values from row activities
-    xe = np.concatenate([x, std.b - std.A[:, :n] @ x])
+    xe = np.concatenate([x, std.b - A[:, :n] @ x])
     scale = max(std.b_scale, _max0(np.abs(xe)))
     primal_res = max(_max0(std.lb - xe), _max0(xe - std.ub))
-    rc = c - std.A.T @ y
+    rc = c - A.T @ y
     # internal min form: positive rc must rest on a finite lower bound,
     # negative rc on a finite upper bound
     on_lb = (rc > 0) & (std.lb > -math.inf)
@@ -765,7 +798,8 @@ def solve(lp: LinearProgram, start: ArrayLike | None = None) -> LpSolution:
 
     The standard form is kept on the LP between solves, and so is the basis
     crashed at the last ``start``: solving again with another objective or
-    sense, or from the same start, rebuilds neither.
+    sense, or from the same start, rebuilds neither. The dense ``A`` is
+    built for the solve and dropped when it returns.
     """
     std = lp._standard
     if std is None:
@@ -776,15 +810,15 @@ def solve(lp: LinearProgram, start: ArrayLike | None = None) -> LpSolution:
         if start.shape != (std.n,):
             raise ValueError(f"start has shape {start.shape}, expected "
                              f"({std.n},)")
-    status, x, y, stats = _solve_reference(std, c, start)
+    A = std.dense()
+    status, x, y, stats = _solve_reference(std, A, c, start)
     if status != OPTIMAL:
         return LpSolution(status=status, objective=math.nan, primal={},
                           duals={}, stats=stats)
-    primal = {name: float(x[j]) for j, name in enumerate(lp.variable_names)}
-    duals = {label: float(sign * y[i])
-             for i, label in enumerate(lp.constraint_labels)}
+    primal = dict(zip(lp._names, x.tolist()))
+    duals = dict(zip(lp._labels, (sign * y).tolist()))
     objective = float(np.dot(np.asarray(lp._obj, dtype=float), x))
-    report = _certify(std, c, x, y)
+    report = _certify(std, A, c, x, y)
     if not report.ok:
         raise LpNumericalError(
             f"optimality certificates failed for {lp.name!r}: {report}")
@@ -822,7 +856,7 @@ def dual_range(lp: LinearProgram, solution: LpSolution,
     if lp._face is None or lp._face[0] is not solution:
         face, sgn = _dual_face(lp, solution, label)
         # the published dual lies on the face: every solve starts there
-        start = [sgn * solution.duals[lab] for lab in lp.constraint_labels]
+        start = [sgn * solution.duals[lab] for lab in lp._labels]
         lp._face = solution, face, sgn, start
     _solution, face, sgn, start = lp._face
     face._obj[face._obj.index(1.0)] = 0.0

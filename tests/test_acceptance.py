@@ -349,7 +349,7 @@ def least_storage_settlement(result) -> float:
     bounds = [(None if math.isinf(lo) else lo, None if math.isinf(hi) else hi)
               for lo, hi in zip(std.lb, std.ub)]
     res = scipy.optimize.linprog(
-        c, A_eq=std.A, b_eq=std.b, bounds=bounds, method="highs",
+        c, A_eq=std.dense(), b_eq=std.b, bounds=bounds, method="highs",
         options={"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10})
     if res.status == 3:

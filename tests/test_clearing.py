@@ -553,16 +553,53 @@ def _clear_one(mode: str, iv: IntervalSpec, storage: StorageSpec,
     return clear_vlb(iv, storage, ledger)
 
 
-def _assert_same_unique_values(res, other):
-    """Equal LP optima and price ranges, within 1e-9 relative; infinite
-    range ends equal."""
-    want = [res.objective] + [end for rng in res.price_ranges for end in rng]
+def _assert_same_unique_values(res, other, k: float = 1.0):
+    """``other``'s LP optimum is ``k`` times ``res``'s and their price
+    ranges are equal, within 1e-9 relative; infinite range ends equal."""
+    want = [k * res.objective] + [end for rng in res.price_ranges
+                                  for end in rng]
     got = [other.objective] + [end for rng in other.price_ranges
                                for end in rng]
     assert len(got) == len(want)
     for w, g in zip(want, got):
         assert (g == w if math.isinf(w)
                 else abs(g - w) <= 1e-9 * max(1.0, abs(w))), (want, got)
+
+
+def _single_intervals():
+    """(interval, storage, ledger): every fixture interval from an empty
+    store, then seeded ``random_interval`` draws from a random start that
+    the ledger holds."""
+    for name in FIXTURE_NAMES:
+        text = (resources.files("artifact") / "fixtures"
+                / f"{name}.json").read_text()
+        scn = parse_scenario(text)
+        storage = StorageSpec(scn.storage.capacity, 0.0)
+        for iv in scn.intervals:
+            yield iv, storage, ValueLedger()
+    rng = np.random.default_rng(20261024)
+    for _ in range(50):
+        capacity = float(rng.uniform(0.5, 3.0))
+        ledger = random_ledger(rng, capacity)
+        yield (random_interval(rng, capacity, penalty=True),
+               StorageSpec(capacity, ledger.total), ledger)
+
+
+def _random_ideal_horizons(seed: int) -> list[Scenario]:
+    """Every fixture, then ten seeded three-interval ``ideal`` horizons
+    that end empty."""
+    horizons = [parse_scenario((resources.files("artifact") / "fixtures"
+                                / f"{name}.json").read_text())
+                for name in FIXTURE_NAMES]
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        capacity = float(rng.uniform(0.5, 3.0))
+        dt = float(rng.choice([0.5, 1.0]))
+        horizons.append(Scenario(StorageSpec(capacity, 0.0), tuple(
+            random_interval(rng, capacity, delta_t=dt,
+                            end_level=0.0 if last else None)
+            for last in (False, False, True)), "ideal"))
+    return horizons
 
 
 class TestRenamingParticipants:
@@ -572,29 +609,10 @@ class TestRenamingParticipants:
     neither they nor sequential runs, which chain through them, are
     compared."""
 
-    @staticmethod
-    def _single_intervals():
-        """(interval, storage, ledger): every fixture interval from an empty
-        store, then seeded ``random_interval`` draws from a random start
-        that the ledger holds."""
-        for name in FIXTURE_NAMES:
-            text = (resources.files("artifact") / "fixtures"
-                    / f"{name}.json").read_text()
-            scn = parse_scenario(text)
-            storage = StorageSpec(scn.storage.capacity, 0.0)
-            for iv in scn.intervals:
-                yield iv, storage, ValueLedger()
-        rng = np.random.default_rng(20261024)
-        for _ in range(50):
-            capacity = float(rng.uniform(0.5, 3.0))
-            ledger = random_ledger(rng, capacity)
-            yield (random_interval(rng, capacity, penalty=True),
-                   StorageSpec(capacity, ledger.total), ledger)
-
     @pytest.mark.parametrize("mode", MODES)
     def test_single_interval_clearings(self, mode):
         cleared = 0
-        for iv, storage, ledger in self._single_intervals():
+        for iv, storage, ledger in _single_intervals():
             if mode == "split_penalty" and iv.penalty_price is None:
                 continue
             (renamed,) = _renamed((iv,))
@@ -610,25 +628,117 @@ class TestRenamingParticipants:
         assert cleared >= 40
 
     def test_ideal_horizons(self):
-        horizons = [parse_scenario((resources.files("artifact") / "fixtures"
-                                    / f"{name}.json").read_text())
-                    for name in FIXTURE_NAMES]
-        rng = np.random.default_rng(20261025)
-        for _ in range(10):
-            capacity = float(rng.uniform(0.5, 3.0))
-            dt = float(rng.choice([0.5, 1.0]))
-            horizons.append(Scenario(StorageSpec(capacity, 0.0), tuple(
-                random_interval(rng, capacity, delta_t=dt,
-                                end_level=0.0 if last else None)
-                for last in (False, False, True)), "ideal"))
         cleared = 0
-        for scn in horizons:
+        for scn in _random_ideal_horizons(20261025):
             try:
                 res = clear_ideal(scn.storage, scn.intervals)
             except InfeasibleError:
                 continue
             _assert_same_unique_values(
                 res, clear_ideal(scn.storage, _renamed(scn.intervals)))
+            cleared += 1
+        assert cleared >= 10
+
+
+def _quantity_scaled(intervals: tuple[IntervalSpec, ...], storage: StorageSpec,
+                     ledger: ValueLedger, k: float):
+    """Every quantity times ``k``: bid caps, end levels, the capacity, the
+    initial content and the ledger's bucket quantities. Prices, the grid
+    and penalty prices stay."""
+    return (tuple(replace(
+        iv, end_level=k * iv.end_level,
+        loads=tuple(replace(ld, max_quantity=tuple(k * q for q in
+                                                   ld.max_quantity))
+                    for ld in iv.loads),
+        generators=tuple(replace(g, max_quantity=tuple(k * q for q in
+                                                       g.max_quantity))
+                         for g in iv.generators)) for iv in intervals),
+        StorageSpec(k * storage.capacity, k * storage.initial_energy),
+        ValueLedger(tuple(replace(b, quantity=k * b.quantity)
+                          for b in ledger.buckets)))
+
+
+def _halved(bids: tuple, index: int) -> tuple:
+    """``bids`` with bid ``index`` split into two identical halves."""
+    bid = bids[index]
+    half = tuple(0.5 * q for q in bid.max_quantity)
+    return (bids[:index] + (replace(bid, id=f"{bid.id}-a", max_quantity=half),
+                            replace(bid, id=f"{bid.id}-b", max_quantity=half))
+            + bids[index + 1:])
+
+
+def _split_bid(intervals: tuple[IntervalSpec, ...],
+               rng: np.random.Generator) -> tuple[IntervalSpec, ...]:
+    """``intervals`` with one bid of each, a load or a generator drawn by
+    ``rng``, split into two identical halves."""
+    out = []
+    for iv in intervals:
+        n_loads = len(iv.loads)
+        j = int(rng.integers(n_loads + len(iv.generators)))
+        out.append(replace(iv, loads=_halved(iv.loads, j)) if j < n_loads
+                   else replace(iv, generators=_halved(iv.generators,
+                                                       j - n_loads)))
+    return tuple(out)
+
+
+class TestQuantityMetamorphs:
+    """Two changes of the bid quantities whose effect on the unique optimal
+    values is known, checked to 1e-9 relative (infinite range ends equal):
+    scaling every quantity by 2 scales the LP optimum by 2 and leaves every
+    price range alone, and splitting a bid into two identical halves
+    changes neither. Dispatch and point prices are not unique and are not
+    compared."""
+
+    @staticmethod
+    def _assert_related(mode, iv, storage, ledger, other, k):
+        """``other`` (interval, storage, ledger) clears to ``k`` times the
+        LP optimum of ``iv`` and to the same price ranges, or both fail."""
+        try:
+            res = _clear_one(mode, iv, storage, ledger)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                _clear_one(mode, *other)
+            return False
+        _assert_same_unique_values(res, _clear_one(mode, *other), k)
+        return True
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_scaling_quantities_scales_the_optimum(self, mode):
+        cleared = 0
+        for iv, storage, ledger in _single_intervals():
+            if mode == "split_penalty" and iv.penalty_price is None:
+                continue
+            (scaled,), storage2, ledger2 = _quantity_scaled(
+                (iv,), storage, ledger, 2.0)
+            cleared += self._assert_related(mode, iv, storage, ledger,
+                                            (scaled, storage2, ledger2), 2.0)
+        assert cleared >= 40
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_splitting_a_bid_changes_nothing(self, mode):
+        rng = np.random.default_rng(20261026)
+        cleared = 0
+        for iv, storage, ledger in _single_intervals():
+            if mode == "split_penalty" and iv.penalty_price is None:
+                continue
+            (split,) = _split_bid((iv,), rng)
+            cleared += self._assert_related(mode, iv, storage, ledger,
+                                            (split, storage, ledger), 1.0)
+        assert cleared >= 40
+
+    def test_ideal_horizons(self):
+        rng = np.random.default_rng(20261027)
+        cleared = 0
+        for scn in _random_ideal_horizons(20261028):
+            try:
+                res = clear_ideal(scn.storage, scn.intervals)
+            except InfeasibleError:
+                continue
+            scaled, storage2, _ledger = _quantity_scaled(
+                scn.intervals, scn.storage, ValueLedger(), 2.0)
+            _assert_same_unique_values(res, clear_ideal(storage2, scaled), 2.0)
+            _assert_same_unique_values(
+                res, clear_ideal(scn.storage, _split_bid(scn.intervals, rng)))
             cleared += 1
         assert cleared >= 10
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -254,7 +255,7 @@ class TestCertificatesAgainstLoop:
                 {k: v + float(rng.normal()) for k, v in sol.duals.items()})
             for trial in (sol, moved):
                 A, want = _certificates_by_loop(prog, trial)
-                assert np.array_equal(lpmod._Standard(prog).A, A)
+                assert np.array_equal(lpmod._Standard(prog).dense(), A)
                 got = lpmod.check_certificates(prog, trial)
                 assert (got.primal_residual, got.dual_residual,
                         got.complementarity_residual) == want[:3]
@@ -447,9 +448,9 @@ class TestWarmStartedFaces:
         calls = []
         run_phase = lpmod._run_phase
 
-        def spy(std, A, c, *args, **kwargs):
-            calls.append(A.shape[1] > std.n + std.m)
-            return run_phase(std, A, c, *args, **kwargs)
+        def spy(std, A, art_sign, c, *args, **kwargs):
+            calls.append(art_sign.size > 0)
+            return run_phase(std, A, art_sign, c, *args, **kwargs)
 
         monkeypatch.setattr(lpmod, "_run_phase", spy)
         return calls
@@ -512,8 +513,8 @@ class TestWarmStartedFaces:
         fallbacks = []
         crash = lpmod._crash_basis
 
-        def spy(std, start):
-            out = crash(std, start)
+        def spy(std, A, start):
+            out = crash(std, A, start)
             fallbacks.append(out is None)
             return out
 
@@ -763,8 +764,9 @@ class TestFactorUpdates:
         bases = []
         run_phase = lpmod._run_phase
 
-        def spy(std, A, c, lb, ub, x, state, basis, *rest):
-            out = run_phase(std, A, c, lb, ub, x, state, basis, *rest)
+        def spy(std, A, art_sign, c, lb, ub, x, state, basis, *rest):
+            out = run_phase(std, A, art_sign, c, lb, ub, x, state, basis,
+                            *rest)
             bases.append(basis.tolist())
             return out
 
@@ -885,7 +887,7 @@ class TestEtaBlockAgainstLoop:
             m = int(rng.integers(1, 60))
             B0 = rng.uniform(-1.0, 1.0, (m, m)) + m * np.eye(m)
             factor = lpmod._Factor(m)
-            factor.refresh(B0, np.arange(m))
+            factor.refresh(B0, np.zeros(0), np.arange(m))
             etas = []
             # half the leaving rows come from a few, so rows repeat
             few = rng.integers(m, size=min(m, 4))
@@ -927,12 +929,12 @@ def _initial_point_by_loop(std):
     return x, state
 
 
-def _feasible_start_basis_by_loop(std, x, state):
+def _feasible_start_basis_by_loop(std, A, x, state):
     """Row by row and column by column: the reference for
     ``_feasible_start_basis``. It may write slacks before it fails."""
     n, m = std.n, std.m
     total = n + m
-    want = std.b - std.A[:, :n] @ x[:n]
+    want = std.b - A[:, :n] @ x[:n]
     tol = lpmod._START_TOL * max(1.0, float(np.max(np.abs(std.b)))
                                  if m else 1.0)
     forced = []
@@ -952,7 +954,7 @@ def _feasible_start_basis_by_loop(std, x, state):
             x[n + i] = hi
             state[n + i] = lpmod._AT_UPPER
     basis = np.full(m, -1, dtype=int)
-    W = std.A.copy()
+    W = A.copy()
     for i in forced:
         basis[i] = n + i
         state[n + i] = lpmod._BASIC
@@ -984,7 +986,7 @@ def _drive_out_artificials_by_loop(A, lb, ub, state, basis, n_real):
     for k in range(m):
         if basis[k] < n_real:
             continue
-        lu = lpmod._factor(A, basis)
+        lu = lpmod._factor(A, np.zeros(0), basis)
         ek = np.zeros(m)
         ek[k] = 1.0
         z = scipy.linalg.lu_solve(lu, ek, trans=1, check_finite=False)
@@ -1029,8 +1031,10 @@ class TestStartBasesAgainstLoop:
             x_ref, state_ref = _initial_point_by_loop(std)
             assert _same_bits(x, x_ref) and _same_bits(state, state_ref)
             x0, state0 = x.copy(), state.copy()
-            basis = lpmod._feasible_start_basis(std, x, state)
-            basis_ref = _feasible_start_basis_by_loop(std, x_ref, state_ref)
+            A = std.dense()
+            basis = lpmod._feasible_start_basis(std, A, x, state)
+            basis_ref = _feasible_start_basis_by_loop(std, A, x_ref,
+                                                      state_ref)
             if basis_ref is None:
                 assert basis is None, prog.name
                 # a failed start writes nothing
@@ -1045,16 +1049,19 @@ class TestStartBasesAgainstLoop:
         counts = []
         drive_out = lpmod._drive_out_artificials
 
-        def spy(A, state, basis, n_real):
+        def spy(A, art_sign, state, basis):
             state_ref, basis_ref = state.copy(), basis.copy()
-            # the loop also pinned a redundant row's artificial at zero,
+            # the loop runs on the dense matrix with phase 1's artificial
+            # diagonal; it also pinned a redundant row's artificial at zero,
             # which phase 2 does for every artificial
+            A1 = np.hstack([A, np.diag(art_sign)])
+            n_real = A.shape[1]
             _drive_out_artificials_by_loop(
-                A, np.zeros(A.shape[1]), np.full(A.shape[1], math.inf),
+                A1, np.zeros(A1.shape[1]), np.full(A1.shape[1], math.inf),
                 state_ref, basis_ref, n_real)
             # one factorization per artificial basic on entry
             want = int(np.count_nonzero(basis >= n_real))
-            count = drive_out(A, state, basis, n_real)
+            count = drive_out(A, art_sign, state, basis)
             assert count == want
             assert _same_bits(basis, basis_ref)
             assert _same_bits(state, state_ref)
@@ -1127,9 +1134,62 @@ class TestSolveStats:
                 assert 0 <= phase.degenerate_pivots <= phase.pivots
 
 
-def _dense_pricing(std, A):
+def _arrays(value):
+    """Every numpy array reachable from ``value`` through tuples, lists,
+    dicts and object attributes."""
+    seen, stack = set(), [value]
+    while stack:
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, np.ndarray):
+            yield v
+        elif isinstance(v, (tuple, list)):
+            stack.extend(v)
+        elif isinstance(v, dict):
+            stack.extend(v.values())
+        elif hasattr(v, "__dict__"):
+            stack.extend(vars(v).values())
+
+
+class TestMemory:
+    """A solve holds one dense ``A`` and a few basis-sized arrays at a
+    time, and a solved LP keeps no matrix."""
+
+    def test_week_solve_holds_one_dense_matrix(self):
+        rng = np.random.default_rng(20261022)
+        intervals = tuple(random_interval(rng, 2.0, n_periods=24,
+                                          delta_t=1.0, end_level=1.0)
+                          for _ in range(7))
+        prog = clear_ideal(StorageSpec(2.0, 0.0), intervals,
+                           compute_ranges=False).lp
+        m, n = prog.n_constraints, prog.n_variables
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sol = lpmod.solve(prog)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sol.stats.start == lpmod.PHASE_1
+        dense, square = 8 * m * (n + m), 8 * m * m
+        # phase 1's artificial block alone would add another dense A
+        assert peak < dense + 4 * square, (peak, dense, square)
+        kept = list(_arrays(prog)) + list(_arrays(sol))
+        assert kept and all(a.ndim == 1 for a in kept)
+
+
+def _dense_with_artificials(std, art_sign):
+    """The dense ``[A, diag(art_sign)]`` a phase prices."""
+    A = std.dense()
+    return np.hstack([A, np.diag(art_sign)]) if art_sign.size else A
+
+
+def _dense_pricing(std, art_sign):
     """The pricing the simplex used before: the dense product over every
-    column of ``A``."""
+    column of ``[A, diag(art_sign)]``."""
+    A = _dense_with_artificials(std, art_sign)
     return lambda c, y: c - A.T @ y
 
 
@@ -1145,8 +1205,9 @@ class TestPricingAgainstDense:
         bases = []
         run_phase = lpmod._run_phase
 
-        def spy(std, A, c, lb, ub, x, state, basis, *rest):
-            out = run_phase(std, A, c, lb, ub, x, state, basis, *rest)
+        def spy(std, A, art_sign, c, lb, ub, x, state, basis, *rest):
+            out = run_phase(std, A, art_sign, c, lb, ub, x, state, basis,
+                            *rest)
             bases.append(basis.tolist())
             return out
 
@@ -1197,13 +1258,14 @@ class TestPricingAgainstDense:
         assert got.stats.phase_1.pivots > 300
 
     def test_reduced_costs_match_the_dense_product(self, monkeypatch):
-        # every (std, A) a solve prices with, phase 1's artificials included
+        # every (std, art_sign) a solve prices with, phase 1's artificials
+        # included
         priced = []
         run_phase = lpmod._run_phase
 
-        def spy(std, A, *args):
-            priced.append((std, A))
-            return run_phase(std, A, *args)
+        def spy(std, A, art_sign, *args):
+            priced.append((std, art_sign))
+            return run_phase(std, A, art_sign, *args)
 
         monkeypatch.setattr(lpmod, "_run_phase", spy)
         rng = np.random.default_rng(44)
@@ -1212,12 +1274,13 @@ class TestPricingAgainstDense:
         for _ in range(5):
             lpmod.solve(_dense_random_lp(rng))
         artificial = 0
-        for std, A in priced:
+        for std, art_sign in priced:
+            A = _dense_with_artificials(std, art_sign)
             artificial += A.shape[1] > std.n + std.m
             c = rng.uniform(-5.0, 5.0, A.shape[1])
             y = rng.uniform(-10.0, 10.0, std.m)
-            got = lpmod._pricing(std, A)(c, y)
-            want = _dense_pricing(std, A)(c, y)
+            got = lpmod._pricing(std, art_sign)(c, y)
+            want = _dense_pricing(std, art_sign)(c, y)
             tol = 1e-12 * float(np.max(np.abs(A))) * float(np.abs(y).sum())
             assert np.all(np.abs(got - want) <= tol)
         assert artificial >= 100
@@ -1428,10 +1491,10 @@ class TestKeptStateNeverGoesStale:
         crashed = []
         crash = lpmod._crash_basis
 
-        def spy(std, start):
+        def spy(std, A, start):
             if std is prog._standard:
                 crashed.append(start.tolist())
-            return crash(std, start)
+            return crash(std, A, start)
 
         monkeypatch.setattr(lpmod, "_crash_basis", spy)
         for start in ([0.0, 4.0], [4.0, 0.0], [4.0, 0.0], [0.0, 4.0]):
