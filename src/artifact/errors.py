@@ -4,7 +4,16 @@ from __future__ import annotations
 
 
 class EngineError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``interval_index`` is the 1-based index of the market interval that was
+    being cleared, or whose ledger was being updated, when the error was
+    raised. ``runner.run_scenario`` sets it for the sequential modes; it
+    stays None for ``ideal``, whose one LP spans every interval, and for an
+    error raised outside an interval.
+    """
+
+    interval_index: int | None = None
 
 
 class ScenarioError(EngineError):
@@ -34,15 +43,11 @@ class InfeasibleError(EngineError):
     """A clearing problem admits no feasible dispatch.
 
     ``stage`` names the binding requirement (for example ``"end_level"``).
-    ``interval_index`` is the 1-based index of the failing interval, set by
-    ``runner.run_scenario`` for the sequential modes; it stays None for
-    ``ideal``, whose one LP spans every interval.
     """
 
-    def __init__(self, message: str, stage: str = "", interval_index: int | None = None):
+    def __init__(self, message: str, stage: str = ""):
         super().__init__(message)
         self.stage = stage
-        self.interval_index = interval_index
 
 
 class SimultaneityError(EngineError):

@@ -45,6 +45,12 @@ verdict (optimal, unbounded) is reached again at a fresh factorization, so
 reported duals always come from a fresh LU of the final basis. The pivot
 path is the one a solve that refactors at every pivot takes: Bland's rule
 for the entering column and the ``_RATIO_TIE`` rule for the leaving one.
+Bland's rule is one pass over the reduced costs: each column's gain is its
+reduced cost times the sign its state gives (``_GAIN_SIGN``; a free
+column's gain is its absolute value, a fixed one's 0), and the first gain
+above ``_PIVOT_EPS`` enters. The ratio test reads only the rows where the
+entering column's FTRAN exceeds ``_PIVOT_EPS`` in magnitude, usually few,
+one by one in Python floats.
 Basic values are updated along the path and never recomputed; the
 certificate check guards against drift. ``LpSolution.stats`` counts what a
 solve did.
@@ -58,9 +64,10 @@ vector ``art_sign``, column ``n + m + i`` being ``art_sign[i]`` in row
 (and the artificial diagonal, in phase 1 and the phase 2 after it), not
 from the dense product, so each column's terms add up in row order. The
 basis factorization gathers the basis columns from the dense ``A`` straight
-into a column-major array that LAPACK factors in place. The start paths and
-the certificate check use the dense ``A``, so the certificate stays an
-independent check of the pricing.
+into a column-major array that LAPACK ``dgetrf`` (the routine
+``scipy.linalg.lu_factor`` wraps, called directly) factors in place. The
+start paths and the certificate check use the dense ``A``, so the
+certificate stays an independent check of the pricing.
 
 Ranging builds one dual face per ranged solution: the duals complementary
 to the optimal primal (Jansen, de Jong, Roos & Terlaky, EJOR 101, 1997),
@@ -86,8 +93,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.linalg import lu, lu_factor
-from scipy.linalg.lapack import dgetrs, dtrtrs
+from scipy.linalg import lu
+from scipy.linalg.lapack import dgetrf, dgetrs, dtrtrs
 
 from .errors import LpNumericalError
 
@@ -100,6 +107,8 @@ _ANCHOR_TOL = 1e-9
 _REFACTOR = 64
 
 _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
+# by state: the sign that turns an improving reduced cost into a gain > 0
+_GAIN_SIGN = np.array([-1.0, 1.0, 0.0, 0.0])
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -357,9 +366,10 @@ def _factor(A: np.ndarray, art_sign: np.ndarray, basis: np.ndarray):
         B[rows, art] = art_sign[rows]
     # max|B|, read before LAPACK overwrites B with its LU
     scale = max(1.0, float(B.max()), -float(B.min()))
-    lu, piv = lu_factor(B, overwrite_a=True, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(lu)) or float(np.min(diag)) < _SINGULAR * scale:
+    # lu_factor's LAPACK routine; an exact zero pivot fails the test below
+    lu, piv, _info = dgetrf(B, overwrite_a=1)
+    if (not np.isfinite(lu).all()
+            or float(np.abs(lu.diagonal()).min()) < _SINGULAR * scale):
         raise LpNumericalError("singular basis matrix")
     return lu, piv
 
@@ -469,17 +479,12 @@ def _entering(rc: np.ndarray, state: np.ndarray, fixed: np.ndarray
     """Bland's rule: the lowest-index movable nonbasic column whose reduced
     cost improves the objective, and its direction (+1 up, -1 down); -1 at
     optimality."""
-    eligible = ~fixed & (((state == _AT_LOWER) & (rc < -_PIVOT_EPS))
-                         | ((state == _AT_UPPER) & (rc > _PIVOT_EPS))
-                         | ((state == _FREE) & (np.abs(rc) > _PIVOT_EPS)))
-    first = np.flatnonzero(eligible)
-    if not first.size:
+    gain = rc * _GAIN_SIGN.take(state)
+    np.abs(rc, out=gain, where=state == _FREE)
+    gain[fixed] = 0.0
+    q = int((gain > _PIVOT_EPS).argmax())
+    if not gain[q] > _PIVOT_EPS:
         return -1, 0.0
-    q = int(first[0])
-    if state[q] == _AT_LOWER:
-        return q, 1.0
-    if state[q] == _AT_UPPER:
-        return q, -1.0
     return q, (1.0 if rc[q] < 0 else -1.0)
 
 
@@ -487,26 +492,28 @@ def _leaving(w: np.ndarray, sigma: float, x: np.ndarray, lb: np.ndarray,
              ub: np.ndarray, basis: np.ndarray, t_best: float
              ) -> tuple[float, int]:
     """Ratio test of a step of the entering column in direction ``sigma``
-    against its own bound flip at distance ``t_best``. Returns (step, row of
-    the first blocking basic column or -1 for the flip).
+    (+1 or -1) against its own bound flip at distance ``t_best``. Returns
+    (step, row of the first blocking basic column or -1 for the flip).
 
     Rows block in row order: a ratio more than ``_RATIO_TIE`` below the
     best so far wins, and one within ``_RATIO_TIE`` of it wins when its
-    basic column has the lower index."""
-    sw = sigma * w
-    up = (sw > _PIVOT_EPS) & (lb[basis] != -math.inf)
-    down = (sw < -_PIVOT_EPS) & (ub[basis] != math.inf)
-    rows = np.flatnonzero(up | down)
-    cols, swr = basis[rows], sw[rows]
-    tk = np.where(up[rows], (x[cols] - lb[cols]) / swr,
-                  (ub[cols] - x[cols]) / -swr)
-    tk = np.where(tk < 0.0, 0.0, tk)
+    basic column has the lower index. Only rows with ``|w| > _PIVOT_EPS``
+    can block, and they are usually few: the loop runs over them in Python
+    floats."""
     r_best, j_best = -1, -1
-    for k, tkk, jk in zip(rows.tolist(), tk.tolist(), cols.tolist()):
-        if tkk < t_best - _RATIO_TIE:
-            t_best, r_best, j_best = tkk, k, jk
-        elif tkk <= t_best + _RATIO_TIE and (r_best == -1 or jk < j_best):
-            t_best, r_best, j_best = min(t_best, tkk), k, jk
+    for k in (np.abs(w) > _PIVOT_EPS).nonzero()[0].tolist():
+        j, swk = basis.item(k), sigma * w.item(k)
+        bound = lb.item(j) if swk > 0.0 else ub.item(j)
+        if math.isinf(bound):
+            continue
+        tk = ((x.item(j) - bound) / swk if swk > 0.0
+              else (bound - x.item(j)) / -swk)
+        if tk < 0.0:
+            tk = 0.0
+        if tk < t_best - _RATIO_TIE:
+            t_best, r_best, j_best = tk, k, j
+        elif tk <= t_best + _RATIO_TIE and (r_best == -1 or j < j_best):
+            t_best, r_best, j_best = min(t_best, tk), k, j
     return t_best, r_best
 
 
@@ -540,8 +547,7 @@ def _run_phase(std: _Standard, A: np.ndarray, art_sign: np.ndarray,
         q, sigma = _entering(rc, state, fixed)
         if q >= 0:
             w = factor.ftran(_column(A, art_sign, q)) if m else np.zeros(0)
-            flip = (ub[q] - lb[q] if lb[q] > -math.inf and ub[q] < math.inf
-                    else math.inf)
+            flip = ub.item(q) - lb.item(q)  # inf when either bound is
             t_best, r_best = _leaving(w, sigma, x, lb, ub, basis, flip)
         if q < 0 or not math.isfinite(t_best):
             if factor.k:
@@ -598,18 +604,20 @@ def _feasible_start_basis(std: _Standard, A: np.ndarray, x: np.ndarray,
     x[n:] = np.where(forced, want, np.where(upper, hi, lo))
     state[n:] = np.where(forced, _BASIC, np.where(upper, _AT_UPPER, _AT_LOWER))
     basis = np.where(forced, n + np.arange(m), -1)
-    W = A.copy()
-    for i in np.flatnonzero(~forced):
+    # open rows only: a row's update reads itself and the pivot row alone
+    open_rows = np.flatnonzero(~forced)
+    W = A[open_rows]
+    for k, i in enumerate(open_rows.tolist()):
         usable = np.flatnonzero((state != _BASIC)
-                                & (np.abs(W[i]) > _PIVOT_EPS))
+                                & (np.abs(W[k]) > _PIVOT_EPS))
         # a dependent row keeps its own slack, basic at a bound
         pivot = int(usable[0]) if usable.size else n + i
         basis[i] = pivot
         state[pivot] = _BASIC
-        W[i] = W[i] / W[i, pivot]
+        W[k] = W[k] / W[k, pivot]
         rows = np.flatnonzero(W[:, pivot])
-        rows = rows[rows != i]
-        W[rows] = W[rows] - W[rows, pivot, None] * W[i]
+        rows = rows[rows != k]
+        W[rows] = W[rows] - W[rows, pivot, None] * W[k]
     return basis
 
 

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import clearing
-from .errors import InfeasibleError, ScenarioError
+from .errors import EngineError, ScenarioError
 from .model import Scenario, ValueLedger, validate_data
 from .storage_ledger import apply_discount, update_ledger
 
@@ -45,11 +45,11 @@ class ScenarioRun:
 
 @contextmanager
 def _interval(index: int):
-    """Tag an InfeasibleError raised inside the block with the 1-based
-    index of the interval being cleared."""
+    """Tag an EngineError raised inside the block with the 1-based index
+    of the interval being cleared."""
     try:
         yield
-    except InfeasibleError as exc:
+    except EngineError as exc:
         exc.interval_index = index
         raise
 
@@ -90,15 +90,15 @@ def run_scenario(scenario: Scenario,
         ledger = scenario.initial_ledger
         for i, interval in enumerate(intervals):
             index = i + 1
-            if index >= 2:
-                ledger = apply_discount(ledger, scenario.discount_rate,
-                                        index - 1)
             with _interval(index):
+                if index >= 2:
+                    ledger = apply_discount(ledger, scenario.discount_rate,
+                                            index - 1)
                 res = clearing.clear_vlb(interval, storage, ledger,
                                          compute_ranges=compute_ranges,
                                          name=f"vlb[{index}]")
+                ledger = update_ledger(res, index)
             results.append(res)
-            ledger = update_ledger(res, index)
         return ScenarioRun(scenario=scenario, results=tuple(results),
                            final_ledger=ledger)
     raise ValueError(f"unknown mode {scenario.mode!r}")

@@ -16,6 +16,7 @@ import pytest
 
 from artifact import clearing as clearingmod
 from artifact import lp as lpmod
+from artifact import storage_ledger
 from artifact.cli import FIXTURE_NAMES
 from artifact.clearing import (
     clear_ideal,
@@ -25,7 +26,13 @@ from artifact.clearing import (
     dispatch_welfare,
     slice_ideal,
 )
-from artifact.errors import InfeasibleError, LpNumericalError, ScenarioError
+from artifact.errors import (
+    InfeasibleError,
+    LpNumericalError,
+    ScenarioError,
+    SimultaneityError,
+    ValuationError,
+)
 from artifact.lp import write_lp_text
 from artifact.metrics import social_welfare
 from artifact.model import (
@@ -101,7 +108,9 @@ class TestSplitTable1:
 
 
 class TestInfeasibleIntervalIndex:
-    """The runner names the interval that has no feasible dispatch."""
+    """The runner names the interval that has no feasible dispatch, and the
+    interval of any other error raised while clearing it or updating its
+    ledger."""
 
     @staticmethod
     def _second_interval_unreachable(mode: str) -> Scenario:
@@ -124,6 +133,30 @@ class TestInfeasibleIntervalIndex:
         with pytest.raises(InfeasibleError) as info:
             run_scenario(self._second_interval_unreachable("ideal"))
         assert info.value.interval_index is None
+
+    @pytest.mark.parametrize("error", [ValuationError, SimultaneityError,
+                                       LpNumericalError])
+    def test_ledger_update_errors_name_their_interval(self, monkeypatch,
+                                                      error):
+        # every interval charges, so every ledger update values its charge
+        scn = Scenario(StorageSpec(10.0, 0.0), tuple(
+            interval([12.0], [1.0], [[1.0]], [[3.0]], level, 2.0)
+            for level in (1.0, 2.0, 3.0)), "vlb")
+        valued = []
+        assign = storage_ledger.assign_charge_values
+
+        def fail_in_interval_2(result):
+            valued.append(result)
+            if len(valued) == 2:
+                raise error("charge valuation failed")
+            return assign(result)
+
+        monkeypatch.setattr(storage_ledger, "assign_charge_values",
+                            fail_in_interval_2)
+        with pytest.raises(error) as info:
+            run_scenario(scn)
+        assert info.value.interval_index == 2
+        assert len(valued) == 2
 
 
 class TestPenaltyTable1:

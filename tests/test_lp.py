@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -16,9 +17,9 @@ import scipy.optimize
 from artifact import clearing as clearingmod
 from artifact import lp as lpmod
 from artifact.cli import FIXTURE_NAMES
-from artifact.clearing import clear_ideal, clear_split
+from artifact.clearing import clear_ideal, clear_split, clear_vlb
 from artifact.errors import ScenarioError
-from artifact.model import StorageSpec, parse_scenario
+from artifact.model import StorageSpec, ValueLedger, parse_scenario
 from artifact.runner import run_scenario
 from helpers import random_interval, random_vlb_scenario
 
@@ -726,6 +727,80 @@ class TestPricingAndRatioTestAgainstLoop:
             assert got[:2] == want, trial
 
 
+def _entering_by_loop_on_fixed(rc, state, fixed):
+    """``_entering_by_loop`` called as the simplex calls ``_entering``."""
+    return _entering_by_loop(rc, state, np.zeros(len(fixed)),
+                             np.where(fixed, 0.0, 1.0))
+
+
+class TestPivotPathAgainstLoop:
+    """Whole solves with the column-by-column pricing and ratio-test loops
+    patched in take the path of the simplex's own: the same start path,
+    bases after each phase, pivot and flip counts, and bitwise-equal
+    duals."""
+
+    @staticmethod
+    def _solve(monkeypatch, prog, start, loops):
+        """The solution and the final basis of each phase."""
+        bases = []
+        run_phase = lpmod._run_phase
+
+        def spy(std, A, art_sign, c, lb, ub, x, state, basis, *rest):
+            out = run_phase(std, A, art_sign, c, lb, ub, x, state, basis,
+                            *rest)
+            bases.append(basis.tolist())
+            return out
+
+        with monkeypatch.context() as patch:
+            if loops:
+                patch.setattr(lpmod, "_entering", _entering_by_loop_on_fixed)
+                patch.setattr(lpmod, "_leaving", _leaving_by_loop)
+            patch.setattr(lpmod, "_run_phase", spy)
+            return lpmod.solve(prog, start=start), bases
+
+    @classmethod
+    def _assert_same_path(cls, monkeypatch, prog, start=None):
+        ref, ref_bases = cls._solve(monkeypatch, prog, start, loops=True)
+        got, got_bases = cls._solve(monkeypatch, prog, start, loops=False)
+        assert got.status == ref.status, prog.name
+        assert got_bases == ref_bases, prog.name
+        assert got.stats.start == ref.stats.start
+        for phase in ("phase_1", "phase_2"):
+            a, b = getattr(got.stats, phase), getattr(ref.stats, phase)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert (a.pivots, a.bound_flips) == (b.pivots, b.bound_flips)
+        if ref.status == lpmod.OPTIMAL:
+            assert ([v.hex() for v in got.duals.values()]
+                    == [v.hex() for v in ref.duals.values()]), prog.name
+        return got
+
+    def test_fixture_clearings_and_their_faces(self, monkeypatch):
+        clearings = _fixture_clearings()
+        assert len(clearings) >= 20
+        faces = 0
+        for prog, sol in clearings:
+            self._assert_same_path(monkeypatch, prog)
+            for label in _balance_labels(prog):
+                face, sgn = lpmod._dual_face(prog, sol, label)
+                start = [sgn * sol.duals[lab] for lab in prog.constraint_labels]
+                for sense in ("min", "max"):
+                    face.sense = sense
+                    got = self._assert_same_path(monkeypatch, face, start)
+                    faces += got.stats.start == lpmod.CRASHED
+        assert faces >= 40
+
+    def test_ideal_horizons(self, monkeypatch):
+        rng = np.random.default_rng(20261025)
+        for _ in range(20):
+            prog = TestPricingAgainstDense._horizon(rng, 2)
+            got = self._assert_same_path(monkeypatch, prog)
+            assert got.stats.start == lpmod.PHASE_1
+        got = self._assert_same_path(
+            monkeypatch, TestPricingAgainstDense._horizon(rng, 7))
+        assert got.stats.phase_1.pivots > 300
+
+
 def _dense_random_lp(rng: np.random.Generator) -> lpmod.LinearProgram:
     """A dense LP with 30 to 90 rows, mixed row senses and bounds, whose
     rows hold at a random point inside the bounds."""
@@ -909,6 +984,58 @@ class TestEtaBlockAgainstLoop:
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(got - want)) <= 1e-12 * scale
         assert repeats >= 1000
+
+
+class TestFactorAgainstLuFactor:
+    """``_factor`` calls LAPACK ``dgetrf`` itself: its LU and pivots are
+    ``scipy.linalg.lu_factor``'s bit for bit, and a singular basis raises
+    ``LpNumericalError`` with no warning."""
+
+    @staticmethod
+    def _assert_lu_factor_bits(A, art_sign, basis, factor=lpmod._factor):
+        B = (np.hstack([A, np.diag(art_sign)]) if art_sign.size else A)[
+            :, basis]
+        want_lu, want_piv = scipy.linalg.lu_factor(B)
+        lu, piv = factor(A, art_sign, basis)
+        assert _same_bits(lu, want_lu) and _same_bits(piv, want_piv)
+        return lu, piv
+
+    def test_random_bases(self):
+        rng = np.random.default_rng(46)
+        for _ in range(200):
+            m = int(rng.integers(1, 60))
+            A = rng.uniform(-3.0, 3.0, (m, 2 * m))
+            art_sign = (rng.choice([-1.0, 1.0], m) if rng.random() < 0.5
+                        else np.zeros(0))
+            basis = rng.permutation(2 * m + art_sign.size)[:m]
+            self._assert_lu_factor_bits(A, art_sign, basis)
+
+    def test_fixture_bases(self, monkeypatch):
+        seen = []
+        factor = lpmod._factor
+
+        def spy(A, art_sign, basis):
+            seen.append(art_sign.size > 0)
+            return self._assert_lu_factor_bits(A, art_sign, basis, factor)
+
+        monkeypatch.setattr(lpmod, "_factor", spy)
+        for prog, sol in _fixture_clearings():
+            lpmod.solve(prog)
+            for label in _balance_labels(prog)[:2]:
+                lpmod.dual_range(prog, sol, label)
+        assert len(seen) >= 200 and any(seen)
+
+    def test_singular_basis_raises_without_warning(self):
+        A = np.array([[1.0, 2.0, 1.0, 0.0],
+                      [2.0, 4.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # columns 0 and 1 are parallel: dgetrf meets an exact zero pivot
+            with pytest.raises(lpmod.LpNumericalError, match="singular"):
+                lpmod._factor(A, np.zeros(0), np.array([0, 1]))
+            with pytest.raises(lpmod.LpNumericalError, match="singular"):
+                lpmod._factor(np.zeros((2, 2)), np.zeros(0),
+                              np.array([0, 1]))
 
 
 def _initial_point_by_loop(std):
@@ -1178,6 +1305,54 @@ class TestMemory:
         assert peak < dense + 4 * square, (peak, dense, square)
         kept = list(_arrays(prog)) + list(_arrays(sol))
         assert kept and all(a.ndim == 1 for a in kept)
+
+    @staticmethod
+    def _traced_peak(call):
+        """``call()``'s result and the peak bytes traced while it ran."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_feasible_start_week_solve(self):
+        # a zero final target: the empty store is a feasible start
+        rng = np.random.default_rng(20261022)
+        intervals = tuple(random_interval(rng, 2.0, n_periods=24,
+                                          delta_t=1.0, end_level=0.0)
+                          for _ in range(7))
+        prog = clear_ideal(StorageSpec(2.0, 0.0), intervals,
+                           compute_ranges=False).lp
+        m, n = prog.n_constraints, prog.n_variables
+        sol, peak = self._traced_peak(lambda: lpmod.solve(prog))
+        assert sol.stats.start == lpmod.FEASIBLE_START
+        dense, square = 8 * m * (n + m), 8 * m * m
+        # every row is an equality, so no slack is forced basic and the
+        # start eliminates on a copy of every row of A: two dense A at most
+        assert peak < 2 * dense + square, (peak, dense, square)
+
+    def test_start_elimination_copies_only_open_rows(self):
+        # a week-long vlb interval: every capacity_hi slack starts strictly
+        # inside its bounds and is forced basic
+        rng = np.random.default_rng(20261022)
+        iv = random_interval(rng, 2.0, n_periods=168, delta_t=1.0,
+                             end_level=0.0)
+        prog = clear_vlb(iv, StorageSpec(2.0, 0.0), ValueLedger(()),
+                         compute_ranges=False).lp
+        std = lpmod._Standard(prog)
+        A = std.dense()
+        x, state = lpmod._initial_point(std)
+        basis, peak = self._traced_peak(
+            lambda: lpmod._feasible_start_basis(std, A, x, state))
+        slack = x[std.n:]
+        forced = int(np.count_nonzero((slack > std.lb[std.n:])
+                                      & (slack < std.ub[std.n:])))
+        assert basis is not None and forced >= 100
+        open_share = 1.0 - forced / std.m
+        assert peak < (open_share + 0.1) * A.nbytes, (peak, A.nbytes,
+                                                      open_share)
 
 
 def _dense_with_artificials(std, art_sign):
