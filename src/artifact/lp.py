@@ -30,6 +30,8 @@ Conventions
   bound for the dual face to count it as sitting there.
 * ``_REFACTOR`` (64) is the number of basis changes between fresh
   factorizations of the basis.
+* ``_SPARSE_ROWS`` (150) is the basis size from which the basis LU is
+  sparse (SuperLU) rather than dense (LAPACK).
 
 The simplex keeps the LU factorization of its basis across pivots in
 product form (Dantzig & Orchard-Hays, 1954), with the etas held as one
@@ -52,22 +54,36 @@ above ``_PIVOT_EPS`` enters. The ratio test reads only the rows where the
 entering column's FTRAN exceeds ``_PIVOT_EPS`` in magnitude, usually few,
 one by one in Python floats.
 Basic values are updated along the path and never recomputed; the
-certificate check guards against drift. ``LpSolution.stats`` counts what a
-solve did.
+certificate check guards against drift. A bound flip changes neither the
+basis nor its factor, so the iteration after it prices with the same duals
+and reduced costs. ``LpSolution.stats`` counts what a solve did.
+
+The basis LU takes one of two forms, by size alone (``_factor_basis``, the
+one place that picks). A basis of fewer than ``_SPARSE_ROWS`` rows is
+factored dense by LAPACK: the basis columns are gathered from the dense
+``A`` straight into a column-major array that ``dgetrf`` (the routine
+``scipy.linalg.lu_factor`` wraps, called directly) factors in place, and
+``dgetrs`` solves with it. A larger basis is gathered as CSC from the
+standard form's entries and factored by SuperLU (``scipy.sparse.linalg.
+splu``) in its given column order, and ``SuperLU.solve`` solves with it.
+A storage chain's basis holds about one nonzero per column, so at a week's
+337 rows the dense LU costs a ``dgetrf`` of the whole square and every
+solve streams all of it; below about 150 rows the sparse LU's per-call
+overhead costs more than it saves (``docs/decisions.md``). Both forms share
+the singularity rule, the eta block and everything else.
 
 The standard form keeps ``A`` as its entries alone: (row, column, value)
-arrays in row order with the slack identity last. A solve builds the dense
+arrays column by column, each column's in row order, the slack identity
+last, also held as CSC (``_Standard.columns``). A solve builds the dense
 ``A`` once from them and drops it when it returns, so a solved LP keeps no
-matrix. Phase 1's artificial columns are never stored: they are the sign
-vector ``art_sign``, column ``n + m + i`` being ``art_sign[i]`` in row
-``i``. Pricing computes the reduced costs ``c - A.T @ y`` from the entries
-(and the artificial diagonal, in phase 1 and the phase 2 after it), not
-from the dense product, so each column's terms add up in row order. The
-basis factorization gathers the basis columns from the dense ``A`` straight
-into a column-major array that LAPACK ``dgetrf`` (the routine
-``scipy.linalg.lu_factor`` wraps, called directly) factors in place. The
-start paths and the certificate check use the dense ``A``, so the
-certificate stays an independent check of the pricing.
+matrix but the LU of a crashed basis (below). Phase 1's artificial
+columns are never stored: they are the sign vector ``art_sign``, column
+``n + m + i`` being ``art_sign[i]`` in row ``i``. Pricing computes the
+reduced costs ``c - A.T @ y`` from the entries (and the artificial
+diagonal, in phase 1 and the phase 2 after it), not from the dense
+product, so each column's terms add up in row order. The start paths and
+the certificate check use the dense ``A``, so the certificate stays an
+independent check of the pricing.
 
 Ranging builds one dual face per ranged solution: the duals complementary
 to the optimal primal (Jansen, de Jong, Roos & Terlaky, EJOR 101, 1997),
@@ -76,14 +92,15 @@ Every label's range solves the same face; only its objective, a single 1.0
 on the label's dual, changes between labels. So ``dual_range`` keeps the
 face on the primal LP for the solution it ranges, and ``solve`` keeps each
 LP's standard form (its constraints, no objective) and the basis crashed at
-the last ``start``: ranging T labels builds, standardizes and crashes the
-face once and runs 2T certified phase-2 solves on it, each from the crash
-at the published dual. ``stationarity_op`` is the rule that reads, from an
-optimal column value or row slack, which side of its stationarity row the
-face keeps; ``artifact.clearing`` applies the same rule to range the
-storage-chain clearings without a face. Adding a variable or a row to an LP
-drops what it keeps. An LP is a mutable builder, used from one thread at a
-time.
+the last ``start``, with that basis's LU: ranging T labels builds,
+standardizes, crashes and factors the face once and runs 2T certified
+phase-2 solves on it, each from the crash at the published dual. A face
+LP so keeps its crash's LU while it ranges. ``stationarity_op`` is the
+rule that reads, from an optimal column value or row slack, which side of
+its stationarity row the face keeps; ``artifact.clearing`` applies the
+same rule to range the storage-chain clearings without a face. Adding a
+variable or a row to an LP drops what it keeps. An LP is a mutable
+builder, used from one thread at a time.
 """
 
 from __future__ import annotations
@@ -95,6 +112,8 @@ import numpy as np
 from numpy.typing import ArrayLike
 from scipy.linalg import lu
 from scipy.linalg.lapack import dgetrf, dgetrs, dtrtrs
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import LpNumericalError
 
@@ -105,6 +124,7 @@ _SINGULAR = 1e-12
 _START_TOL = 1e-12
 _ANCHOR_TOL = 1e-9
 _REFACTOR = 64
+_SPARSE_ROWS = 150
 
 _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
 # by state: the sign that turns an improving reduced cost into a gain > 0
@@ -128,9 +148,9 @@ class LinearProgram:
     """Mutable LP builder with named variables and labeled constraints.
 
     An LP keeps what its solves can reuse: its standard form (with the
-    basis crashed at the last ``start``) and the dual face of its last
-    ranged solution. Adding a variable or a row drops both. An LP is built
-    and solved from one thread at a time."""
+    basis crashed at the last ``start`` and its LU) and the dual face of
+    its last ranged solution. Adding a variable or a row drops both. An LP
+    is built and solved from one thread at a time."""
 
     def __init__(self, name: str = "lp", sense: str = "max"):
         if sense not in ("max", "min"):
@@ -229,8 +249,9 @@ class PhaseStats:
 
     pivots: int = 0
     bound_flips: int = 0
-    # fresh LU factorizations of the basis: the first, the refreshes every
-    # _REFACTOR basis changes, and the confirmations
+    # fresh LU factorizations of the basis: the first (a crashed start
+    # brings its own), the refreshes every _REFACTOR basis changes, and the
+    # confirmations
     factorizations: int = 0
     # verdicts reached on an updated factor and taken again at a fresh one
     confirmations: int = 0
@@ -244,12 +265,14 @@ class SolveStats:
     ``PHASE_1``; ``phase_1`` is None unless phase 1 ran and ``phase_2`` is
     None when phase 1 proved the LP infeasible. ``drive_outs`` counts the
     basis factorizations made driving artificial columns out after phase
-    1."""
+    1. ``factorization`` names the basis LU the solve used, ``"dense"`` or
+    ``"sparse"``; it takes no part in equality or repr."""
 
     start: str
     phase_1: PhaseStats | None
     phase_2: PhaseStats | None
     drive_outs: int = 0
+    factorization: str = field(default="dense", compare=False, repr=False)
 
     @property
     def factorizations(self) -> int:
@@ -305,15 +328,19 @@ class _Standard:
                 vals.append(coef)
             self.b[i] = rhs
             self.lb[n + i], self.ub[n + i] = _SLACK_BOUNDS[op]
-        # A's entries in row order, the slack identity last, so that
-        # pricing adds each column's terms in row order
+        # A's entries column by column, so that they are also its CSC, and
+        # each column's in row order, so that pricing adds them in row order
         rows += range(m)
         cols += range(n, n + m)
         vals += [1.0] * m
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        vals = np.asarray(vals, dtype=float) + 0.0  # -0.0 -> 0.0
+        order = np.argsort(cols, kind="stable")
+        rows = np.asarray(rows, dtype=np.intp)[order]
+        cols = np.asarray(cols, dtype=np.intp)[order]
+        vals = np.asarray(vals, dtype=float)[order] + 0.0  # -0.0 -> 0.0
         self.entries = rows, cols, vals
+        # as CSC: column j's entries are [starts[j], starts[j + 1])
+        self.columns = (np.searchsorted(cols, np.arange(n + m + 1)), rows,
+                        vals)
         self.b_scale = max(1.0, float(np.max(np.abs(self.b), initial=0.0)))
 
     def dense(self) -> np.ndarray:
@@ -323,17 +350,22 @@ class _Standard:
         A[rows, cols] = vals
         return A
 
-    def crash(self, A: np.ndarray, start: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """``_crash_basis(self, A, start)``, kept for the last ``start`` (by
-        its exact bytes). Hands out copies: phase 2 moves the point, the
-        states and the basis in place."""
+    def crash(self, A: np.ndarray, start: np.ndarray) -> tuple | None:
+        """``_crash_basis(self, A, start)`` and the LU of its basis, kept for
+        the last ``start`` (by its exact bytes). Hands out copies of the
+        point, the states and the basis, which phase 2 moves in place, and
+        the LU itself, which no solve writes."""
         key = start.tobytes()
         if key != self._crash_key:
-            self._crash_key, self._crashed = key, _crash_basis(self, A, start)
+            crashed = _crash_basis(self, A, start)
+            if crashed is not None:
+                crashed += (_factor_basis(A, np.zeros(0), crashed[2],
+                                          self.columns),)
+            self._crash_key, self._crashed = key, crashed
         if self._crashed is None:
             return None
-        return tuple(a.copy() for a in self._crashed)
+        *arrays, basis_lu = self._crashed
+        return (*(a.copy() for a in arrays), basis_lu)
 
 
 def _objective(lp: LinearProgram, m: int) -> tuple[float, np.ndarray]:
@@ -374,6 +406,61 @@ def _factor(A: np.ndarray, art_sign: np.ndarray, basis: np.ndarray):
     return lu, piv
 
 
+def _splu(columns: tuple, art_sign: np.ndarray, basis: np.ndarray) -> SuperLU:
+    """SuperLU of the basis columns of ``[A, diag(art_sign)]``, gathered as
+    CSC from A's entries ``columns`` (as ``_Standard.columns`` holds them)
+    and factored in their given order, under ``_factor``'s singularity
+    rule."""
+    starts, rows, vals = columns
+    m = len(basis)
+    if len(art_sign):  # the artificial diagonal: one entry per column
+        starts = np.concatenate([starts, starts[-1] + np.arange(1, m + 1)])
+        rows = np.concatenate([rows, np.arange(m)])
+        vals = np.concatenate([vals, art_sign])
+    first = starts[basis]
+    count = starts[basis + 1] - first
+    indptr = np.concatenate([[0], np.cumsum(count)])
+    at = np.repeat(first - indptr[:-1], count) + np.arange(indptr[-1])
+    data = vals[at]
+    scale = max(1.0, float(np.abs(data).max(initial=0.0)))
+    try:
+        factor = splu(csc_array((data, rows[at], indptr), shape=(m, m)),
+                      permc_spec="NATURAL")
+    except RuntimeError as err:  # "Factor is exactly singular"
+        raise LpNumericalError("singular basis matrix") from err
+    U, L = factor.U, factor.L
+    if (not (np.isfinite(U.data).all() and np.isfinite(L.data).all())
+            or float(np.abs(U.diagonal()).min()) < _SINGULAR * scale):
+        raise LpNumericalError("singular basis matrix")
+    return factor
+
+
+def _columns(A: np.ndarray) -> tuple:
+    """The nonzeros of a dense ``A`` held as ``_Standard.columns`` holds
+    its entries."""
+    cols, rows = np.nonzero(A.T)
+    starts = np.searchsorted(cols, np.arange(A.shape[1] + 1))
+    return starts, rows, A[rows, cols]
+
+
+def _factor_basis(A: np.ndarray, art_sign: np.ndarray, basis: np.ndarray,
+                  columns: tuple | None = None):
+    """The LU of the basis columns of ``[A, diag(art_sign)]``: SuperLU from
+    A's entries ``columns`` (read from ``A`` when not given) when the basis
+    has ``_SPARSE_ROWS`` rows or more, else dense LAPACK (``_factor``)."""
+    if len(basis) < _SPARSE_ROWS:
+        return _factor(A, art_sign, basis)
+    return _splu(_columns(A) if columns is None else columns, art_sign, basis)
+
+
+def _lu_solve(lu, b: np.ndarray, trans: int) -> np.ndarray:
+    """Solve with an LU from ``_factor_basis`` (``trans`` 1: its
+    transpose)."""
+    if isinstance(lu, SuperLU):
+        return lu.solve(b, "T" if trans else "N")
+    return _getrs(lu, b, trans)
+
+
 def _getrs(lu, b: np.ndarray, trans: int) -> np.ndarray:
     """``lu_solve(lu, b, trans)`` without its argument handling: the same
     LAPACK call, so the same bits."""
@@ -401,8 +488,9 @@ class _Factor:
     ``L[j, j] = w_j[r_j]``: applying the k eta inverses in turn is one
     triangular solve with ``L`` and one product with ``G``, and a leaving
     row may repeat. Room for ``_REFACTOR`` changes is allocated once and
-    serves every factorization of a solve; ``lu`` is None while the basis
-    awaits one."""
+    serves every factorization of a solve; ``lu`` is an LU from
+    ``_factor_basis``, dense or sparse, or None while the basis awaits
+    one."""
 
     def __init__(self, m: int):
         self.lu = None
@@ -412,9 +500,10 @@ class _Factor:
         self.k = 0
 
     def refresh(self, A: np.ndarray, art_sign: np.ndarray,
-                basis: np.ndarray) -> None:
-        """Factor the basis afresh, with no eta."""
-        self.lu = _factor(A, art_sign, basis)
+                basis: np.ndarray, columns: tuple | None = None) -> None:
+        """Factor the basis afresh (``_factor_basis``, from A's entries
+        ``columns`` when given), with no eta."""
+        self.lu = _factor_basis(A, art_sign, basis, columns)
         self.k = 0
 
     def update(self, r: int, w: np.ndarray) -> None:
@@ -430,7 +519,7 @@ class _Factor:
 
     def ftran(self, a: np.ndarray) -> np.ndarray:
         """``B^-1 a``: solve with the LU of ``B0``, then apply the etas."""
-        z = _getrs(self.lu, a, 0)
+        z = _lu_solve(self.lu, a, 0)
         k = self.k
         if k:
             z -= self.G[:, :k] @ _trtrs(self.L[:, :k], z[self.r[:k]], 0)
@@ -443,7 +532,7 @@ class _Factor:
         if k:
             t = _trtrs(self.L[:, :k], self.G[:, :k].T @ v, 1)
             v = v - np.bincount(self.r[:k], weights=t, minlength=len(v))
-        return _getrs(self.lu, v, 1)
+        return _lu_solve(self.lu, v, 1)
 
 
 def _column(A: np.ndarray, art_sign: np.ndarray, q: int) -> np.ndarray:
@@ -535,15 +624,20 @@ def _run_phase(std: _Standard, A: np.ndarray, art_sign: np.ndarray,
     fixed = lb == ub
     stats = PhaseStats()
     price = _pricing(std, art_sign)
+    flipped = False
     while True:
         if stats.pivots + stats.bound_flips >= max_iter:
             raise LpNumericalError(
                 f"simplex exceeded {max_iter} iterations (possible cycling)")
         if m and (factor.lu is None or factor.k >= _REFACTOR):
-            factor.refresh(A, art_sign, basis)
+            factor.refresh(A, art_sign, basis, std.columns)
             stats.factorizations += 1
-        y = factor.btran(c[basis]) if m else np.zeros(0)
-        rc = price(c, y)
+            flipped = False
+        if not flipped:
+            # a bound flip changes neither the basis nor its factor: the
+            # last y and rc still hold
+            y = factor.btran(c[basis]) if m else np.zeros(0)
+            rc = price(c, y)
         q, sigma = _entering(rc, state, fixed)
         if q >= 0:
             w = factor.ftran(_column(A, art_sign, q)) if m else np.zeros(0)
@@ -560,7 +654,8 @@ def _run_phase(std: _Standard, A: np.ndarray, art_sign: np.ndarray,
         if m:
             x[basis] -= sigma * t_best * w
         x[q] += sigma * t_best
-        if r_best == -1:
+        flipped = r_best == -1
+        if flipped:
             # entering column travels to its opposite bound; basis unchanged
             stats.bound_flips += 1
             if sigma > 0:
@@ -626,13 +721,15 @@ def _drive_out_artificials(A: np.ndarray, art_sign: np.ndarray,
     """Replace basic artificial columns (all at value zero after a feasible
     phase 1) with the lowest-index column of ``A`` having a usable pivot. An
     artificial without one (a redundant row) stays basic. Returns the number
-    of basis factorizations made, one per artificial."""
+    of basis factorizations made, one per artificial. A basis of
+    ``_SPARSE_ROWS`` rows or more is gathered from ``A`` itself
+    (``_columns``), which the rare drive-out can afford."""
     n_real = A.shape[1]
     arts = np.flatnonzero(basis >= n_real)
     for k in arts:
         ek = np.zeros(len(basis))
         ek[k] = 1.0
-        row = _getrs(_factor(A, art_sign, basis), ek, 1) @ A
+        row = _lu_solve(_factor_basis(A, art_sign, basis), ek, 1) @ A
         usable = np.flatnonzero((state[:n_real] != _BASIC)
                                 & (np.abs(row) > _PIVOT_EPS))
         if usable.size:
@@ -713,7 +810,8 @@ def _solve_reference(std: _Standard, A: np.ndarray, c: np.ndarray,
     phase_1, drive_outs, factor = None, 0, _Factor(m)
     crashed = std.crash(A, start) if start is not None and m else None
     if crashed is not None:
-        path, (x, state, basis) = CRASHED, crashed
+        # phase 2 starts on the crash's LU
+        path, (x, state, basis, factor.lu) = CRASHED, crashed
     else:
         x, state = _initial_point(std)
         basis = _feasible_start_basis(std, A, x, state)
@@ -733,7 +831,8 @@ def _solve_reference(std: _Standard, A: np.ndarray, c: np.ndarray,
             raise LpNumericalError("phase 1 terminated abnormally")
         if float(x[total:].sum()) > EPS * std.b_scale:
             return (INFEASIBLE, x[:std.n], np.zeros(m),
-                    SolveStats(PHASE_1, phase_1, None))
+                    SolveStats(PHASE_1, phase_1, None,
+                               factorization=_kind(factor)))
         drive_outs = _drive_out_artificials(A, art_sign, state, basis)
         if drive_outs:
             # phase 1's final factor may not be of phase 2's basis
@@ -744,7 +843,13 @@ def _solve_reference(std: _Standard, A: np.ndarray, c: np.ndarray,
         c = np.concatenate([c, np.zeros(m)])
     status, y, phase_2 = _run_phase(std, A, art_sign, c, lb, ub, x, state,
                                     basis, max_iter, factor)
-    return status, x[:std.n], y, SolveStats(path, phase_1, phase_2, drive_outs)
+    return status, x[:std.n], y, SolveStats(path, phase_1, phase_2, drive_outs,
+                                            _kind(factor))
+
+
+def _kind(factor: _Factor) -> str:
+    """The ``SolveStats.factorization`` of a solve's factor."""
+    return "sparse" if isinstance(factor.lu, SuperLU) else "dense"
 
 
 def check_certificates(lp: LinearProgram,
@@ -805,9 +910,9 @@ def solve(lp: LinearProgram, start: ArrayLike | None = None) -> LpSolution:
     skips phase 1; any other start is ignored.
 
     The standard form is kept on the LP between solves, and so is the basis
-    crashed at the last ``start``: solving again with another objective or
-    sense, or from the same start, rebuilds neither. The dense ``A`` is
-    built for the solve and dropped when it returns.
+    crashed at the last ``start`` with its LU: solving again with another
+    objective or sense, or from the same start, rebuilds neither. The
+    dense ``A`` is built for the solve and dropped when it returns.
     """
     std = lp._standard
     if std is None:

@@ -4,6 +4,7 @@ certificates, and cross-checks against an independent LP solver."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import tracemalloc
 import warnings
@@ -19,9 +20,11 @@ from artifact import lp as lpmod
 from artifact.cli import FIXTURE_NAMES
 from artifact.clearing import clear_ideal, clear_split, clear_vlb
 from artifact.errors import ScenarioError
-from artifact.model import StorageSpec, ValueLedger, parse_scenario
+from artifact.model import Scenario, StorageSpec, ValueLedger, parse_scenario
 from artifact.runner import run_scenario
 from helpers import random_interval, random_vlb_scenario
+import test_point_prices as point_prices_golden
+import test_reports as reports_golden
 
 MODES = ("ideal", "split_end_level", "split_penalty", "vlb")
 
@@ -1737,3 +1740,236 @@ class TestComplementaryFace:
         assert face.bounds("y[cap]") == (0.0, math.inf)
         assert face.bounds("y[room]") == (0.0, 0.0)
         assert lpmod.dual_range(prog, sol, "cap") == (-1.0, -1.0)
+
+
+def _redundant_row_lp() -> lpmod.LinearProgram:
+    """An LP whose third row is the sum of the first two: phase 1 ends with
+    an artificial basic, which the drive-out replaces."""
+    prog = lpmod.LinearProgram(name="redundant", sense="min")
+    prog.add_variable("x", 0.0, 4.0, objective=1.0)
+    prog.add_variable("y", 0.0, 4.0, objective=2.0)
+    prog.add_variable("z", 0.0, 4.0, objective=3.0)
+    prog.add_constraint("a", {"x": 1.0, "y": 1.0}, "==", 2.0)
+    prog.add_constraint("b", {"y": 1.0, "z": 1.0}, "==", 3.0)
+    prog.add_constraint("sum", {"x": 1.0, "y": 2.0, "z": 1.0}, "==", 5.0)
+    return prog
+
+
+class TestSparseFactor:
+    """A basis of ``_SPARSE_ROWS`` rows or more is factored by SuperLU
+    instead of LAPACK. Forced on every LP, it reproduces every golden
+    report and point price; on large horizons it agrees with the dense LU;
+    it keeps the dense LU's singularity rule; and the drive-out after phase
+    1 picks its LU as the simplex does."""
+
+    def test_golden_files_with_every_basis_sparse(self, monkeypatch):
+        monkeypatch.setattr(lpmod, "_SPARSE_ROWS", 0)
+        for file, text in sorted(reports_golden.reports().items()):
+            want = (reports_golden.GOLDEN / file).read_text()
+            diff = reports_golden._first_difference(want, text)
+            assert diff is None, f"{file} {diff}"
+        want = json.loads(point_prices_golden.GOLDEN.read_text())
+        diff = point_prices_golden._first_difference(
+            want, point_prices_golden.point_prices())
+        assert diff is None, diff
+
+    def test_sparse_and_dense_agree_on_horizons(self, monkeypatch):
+        rng = np.random.default_rng(20261026)
+        for days in (3,) * 10 + (7,) * 10:
+            prog = TestPricingAgainstDense._horizon(rng, days)
+            got = {}
+            for kind, rows in (("dense", 10**9), ("sparse", 0)):
+                monkeypatch.setattr(lpmod, "_SPARSE_ROWS", rows)
+                got[kind] = lpmod.solve(prog)
+                assert got[kind].stats.factorization == kind
+            dense, sparse = got["dense"], got["sparse"]
+            assert sparse.status == dense.status == lpmod.OPTIMAL
+            assert sparse.objective == pytest.approx(dense.objective,
+                                                     rel=1e-12, abs=0.0)
+            for sol in (dense, sparse):
+                assert sol.certificate.ok
+                assert lpmod.check_certificates(prog, sol).ok
+
+    def test_random_bases_solve_as_the_dense_matrix(self):
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            m = int(rng.integers(1, 40))
+            A = np.where(rng.random((m, 2 * m)) < 0.2,
+                         rng.uniform(-3.0, 3.0, (m, 2 * m)), 0.0)
+            A[:, m:] = np.eye(m)
+            art_sign = (rng.choice([-1.0, 1.0], m) if rng.random() < 0.5
+                        else np.zeros(0))
+            basis = rng.permutation(2 * m + art_sign.size)[:m]
+            B = (np.hstack([A, np.diag(art_sign)]) if art_sign.size
+                 else A)[:, basis]
+            if np.linalg.cond(B) > 1e8:
+                continue
+            lu = lpmod._splu(lpmod._columns(A), art_sign, basis)
+            b = rng.uniform(-1.0, 1.0, m)
+            for trans, want in ((0, np.linalg.solve(B, b)),
+                                (1, np.linalg.solve(B.T, b))):
+                got = lpmod._lu_solve(lu, b, trans)
+                assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+
+    def test_entries_and_the_dense_matrix_give_the_same_columns(self):
+        def dense(std, columns):
+            starts, rows, vals = columns
+            M = np.zeros((std.m, std.n + std.m))
+            M[rows, np.repeat(np.arange(len(starts) - 1),
+                              np.diff(starts))] = vals
+            return M
+
+        for prog, _sol in _fixture_clearings():
+            std = lpmod._Standard(prog)
+            A = std.dense()
+            assert _same_bits(dense(std, std.columns), A)
+            assert _same_bits(dense(std, lpmod._columns(A)), A)
+
+    @pytest.mark.parametrize("B", [
+        [[1.0, 2.0], [2.0, 4.0]],          # parallel columns
+        [[0.0, 0.0], [0.0, 0.0]],          # no entries
+        [[1.0, 1.0], [1.0, 1.0 + 1e-14]],  # a pivot below _SINGULAR
+        [[1e6, 1e6], [1.0, 1.0 + 1e-7]],   # below _SINGULAR * max|B|
+    ])
+    def test_singular_basis_raises_without_warning(self, monkeypatch, B):
+        monkeypatch.setattr(lpmod, "_SPARSE_ROWS", 0)
+        A = np.hstack([np.array(B), np.eye(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(lpmod.LpNumericalError, match="singular"):
+                lpmod._factor_basis(A, np.zeros(0), np.array([0, 1]))
+            # the dense LU draws the same line
+            with pytest.raises(lpmod.LpNumericalError, match="singular"):
+                lpmod._factor(A, np.zeros(0), np.array([0, 1]))
+
+    def test_drive_out_reaches_the_dense_basis(self, monkeypatch):
+        bases = {}
+        drive_out = lpmod._drive_out_artificials
+
+        def spy(A, art_sign, state, basis):
+            count = drive_out(A, art_sign, state, basis)
+            bases[kind] = (count, basis.tolist())
+            return count
+
+        def no_dense_factor(*args):
+            raise AssertionError("dense LU of a sparse-sized basis")
+
+        monkeypatch.setattr(lpmod, "_drive_out_artificials", spy)
+        sols = {}
+        for kind, rows in (("dense", 10**9), ("sparse", 1)):
+            monkeypatch.setattr(lpmod, "_SPARSE_ROWS", rows)
+            if kind == "sparse":
+                monkeypatch.setattr(lpmod, "_factor", no_dense_factor)
+            sols[kind] = lpmod.solve(_redundant_row_lp())
+            assert sols[kind].stats.factorization == kind
+        assert bases["sparse"] == bases["dense"]
+        count, basis = bases["dense"]
+        # one artificial driven out, by a row slack
+        assert count == 1 and max(basis) < 6
+        dense, sparse = sols["dense"], sols["sparse"]
+        assert sparse.status == dense.status == lpmod.OPTIMAL
+        assert sparse.objective == pytest.approx(dense.objective, rel=1e-12)
+        assert sparse.primal == pytest.approx(dense.primal, rel=1e-12)
+
+
+class TestFactorizationStat:
+    """``SolveStats.factorization`` names the LU a solve used: dense for a
+    day's ``vlb`` face, sparse for a week's ``ideal`` LP. It is telemetry
+    alone."""
+
+    def test_day_face_is_dense_and_week_is_sparse(self):
+        rng = np.random.default_rng(20261027)
+        intervals = tuple(
+            random_interval(rng, 2.0, n_periods=12, delta_t=1.0,
+                            end_level=0.0 if k else None)
+            for k in range(2))
+        scn = Scenario(StorageSpec(2.0, 0.0), intervals, "vlb")
+        faces = 0
+        for res in run_scenario(scn, compute_ranges=False).results:
+            prog, sol = res.lp, res.lp_solution
+            assert sol.stats.factorization == "dense"
+            for label in _balance_labels(prog):
+                face, sgn = lpmod._dual_face(prog, sol, label)
+                start = [sgn * sol.duals[lab] for lab in prog.constraint_labels]
+                got = lpmod.solve(face, start=start)
+                assert got.stats.start == lpmod.CRASHED
+                assert got.stats.factorization == "dense"
+                faces += 1
+        assert faces == 24
+        week = lpmod.solve(TestPricingAgainstDense._horizon(rng, 7))
+        assert week.stats.factorization == "sparse"
+
+    def test_stat_takes_no_part_in_equality_or_repr(self):
+        stats = lpmod.solve(single_period_market_lp()).stats
+        assert stats.factorization == "dense"
+        assert dataclasses.replace(stats, factorization="sparse") == stats
+        assert "factorization=" not in repr(stats)
+
+
+class TestFlipsAndCrashedFactors:
+    """A bound flip reprices nothing: the next iteration reuses its duals
+    and reduced costs. A face factors its crashed basis once, and each of
+    its solves starts on that LU."""
+
+    def test_a_flip_makes_no_btran(self, monkeypatch):
+        btrans = []
+        btran = lpmod._Factor.btran
+        run_phase = lpmod._run_phase
+
+        def counted_btran(self, v):
+            btrans[-1] += 1
+            return btran(self, v)
+
+        def spy(*args):
+            btrans.append(0)
+            status, y, stats = run_phase(*args)
+            # one BTRAN per iteration that follows no flip, the first and
+            # the final one included
+            assert btrans[-1] == stats.pivots + stats.confirmations + 1
+            return status, y, stats
+
+        monkeypatch.setattr(lpmod._Factor, "btran", counted_btran)
+        monkeypatch.setattr(lpmod, "_run_phase", spy)
+        flips = 0
+        for prog, _sol in _fixture_clearings():
+            sol = lpmod.solve(prog)
+            flips += sum(p.bound_flips for p in sol.stats._phases())
+        week = lpmod.solve(TestPricingAgainstDense._horizon(
+            np.random.default_rng(20261028), 7))
+        assert week.stats.phase_2.bound_flips > 10
+        assert flips > 0
+
+    def test_face_solves_start_on_the_crash_lu(self, monkeypatch):
+        factored = []
+        factor_basis = lpmod._factor_basis
+
+        def spy(*args):
+            factored.append(args[2].tolist())
+            return factor_basis(*args)
+
+        face_stats = []
+        solve = lpmod.solve
+
+        def counted_solve(prog, *args, **kwargs):
+            sol = solve(prog, *args, **kwargs)
+            face_stats.append(sol.stats)
+            return sol
+
+        for prog, sol in _vlb_clearings(20261029, 10):
+            labels = _balance_labels(prog)
+            with monkeypatch.context() as patch:
+                patch.setattr(lpmod, "_factor_basis", spy)
+                patch.setattr(lpmod, "solve", counted_solve)
+                del factored[:], face_stats[:]
+                for label in labels:
+                    lpmod.dual_range(prog, sol, label)
+            assert len(face_stats) == 2 * len(labels)
+            for stats in face_stats:
+                assert stats.start == lpmod.CRASHED
+                # a face solve factors only to refresh or to confirm
+                phase = stats.phase_2
+                assert phase.factorizations == (
+                    phase.pivots // lpmod._REFACTOR + phase.confirmations)
+            # the crash's one factorization, then the solves' own
+            assert len(factored) == 1 + sum(s.factorizations
+                                            for s in face_stats)
