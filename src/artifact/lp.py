@@ -17,7 +17,9 @@ otherwise, with artificials still basic driven out before phase 2.
 Conventions
 -----------
 * ``sense`` is ``"max"`` or ``"min"``; bounds may be ``+-math.inf``, but
-  not NaN, a lower bound of ``+inf`` or an upper bound of ``-inf``.
+  not NaN, a lower bound of ``+inf`` or an upper bound of ``-inf``;
+  objective coefficients, row coefficients and right-hand sides are
+  finite. The builder rejects other data with ``ValueError``.
 * Reported duals are oriented for the problem as stated: for a ``max``
   problem a binding ``<=`` row has a nonnegative dual.
 * Tolerances (``docs/decisions.md`` tabulates their scaling): ``EPS``
@@ -59,31 +61,36 @@ basis nor its factor, so the iteration after it prices with the same duals
 and reduced costs. ``LpSolution.stats`` counts what a solve did.
 
 The basis LU takes one of two forms, by size alone (``_factor_basis``, the
-one place that picks). A basis of fewer than ``_SPARSE_ROWS`` rows is
-factored dense by LAPACK: the basis columns are gathered from the dense
-``A`` straight into a column-major array that ``dgetrf`` (the routine
-``scipy.linalg.lu_factor`` wraps, called directly) factors in place, and
-``dgetrs`` solves with it. A larger basis is gathered as CSC from the
-standard form's entries and factored by SuperLU (``scipy.sparse.linalg.
-splu``) in its given column order, and ``SuperLU.solve`` solves with it.
-A storage chain's basis holds about one nonzero per column, so at a week's
-337 rows the dense LU costs a ``dgetrf`` of the whole square and every
-solve streams all of it; below about 150 rows the sparse LU's per-call
-overhead costs more than it saves (``docs/decisions.md``). Both forms share
-the singularity rule, the eta block and everything else.
+one place that picks); either gathers the basis columns once from the
+CSC a phase reads (below). A basis of fewer than ``_SPARSE_ROWS`` rows is
+scattered into a column-major array, the very array the dense ``A`` would
+give, that ``dgetrf`` (the routine ``scipy.linalg.lu_factor`` wraps,
+called directly) factors in place, and ``dgetrs`` solves with it. A larger
+basis goes to SuperLU (``scipy.sparse.linalg.splu``) as CSC, factored in
+its given column order, and ``SuperLU.solve`` solves with it. A storage
+chain's basis holds about one nonzero per column, so at a week's 337 rows
+the dense LU costs a ``dgetrf`` of the whole square and every solve
+streams all of it; below about 150 rows the sparse LU's per-call overhead
+costs more than it saves (``docs/decisions.md``). Both forms share the
+singularity rule, the eta block and everything else.
 
-The standard form keeps ``A`` as its entries alone: (row, column, value)
-arrays column by column, each column's in row order, the slack identity
-last, also held as CSC (``_Standard.columns``). A solve builds the dense
-``A`` once from them and drops it when it returns, so a solved LP keeps no
-matrix but the LU of a crashed basis (below). Phase 1's artificial
-columns are never stored: they are the sign vector ``art_sign``, column
-``n + m + i`` being ``art_sign[i]`` in row ``i``. Pricing computes the
-reduced costs ``c - A.T @ y`` from the entries (and the artificial
-diagonal, in phase 1 and the phase 2 after it), not from the dense
-product, so each column's terms add up in row order. The start paths and
-the certificate check use the dense ``A``, so the certificate stays an
-independent check of the pricing.
+The standard form keeps ``A`` as its CSC alone (``_Standard.columns``):
+each column's (row, value) entries in row order, the slack identity last.
+Phase 1's artificial columns are never stored: they are the sign vector
+``art_sign``, column ``n + m + i`` being ``art_sign[i]`` in row ``i``, and
+``_with_artificials`` forms the CSC of ``[A, diag(art_sign)]`` once per
+phase. Inside a phase that CSC is the one matrix: pricing computes the
+reduced costs ``c - A.T @ y`` from it, so each column's terms add up in
+row order, FTRAN reads the entering column from it, and every basis LU
+(the phases', the crash's and the drive-out's) gathers from it. A solve
+also builds the dense ``A`` once and drops it when it returns, so a
+solved LP keeps no matrix but the LU of a crashed basis (below). The
+dense ``A`` serves the products whose bits the tests pin: the feasible
+start, phase 1's residual, the drive-out row, the crash and the
+certificate check, which so stays an independent check of the pricing.
+Taken from the CSC instead, those products change bits: in a trial, 49
+of 124 certificate residual triples and the slacks of 9 of 51 feasible
+starts differed.
 
 Ranging builds one dual face per ranged solution: the duals complementary
 to the optimal primal (Jansen, de Jong, Roos & Terlaky, EJOR 101, 1997),
@@ -177,6 +184,8 @@ class LinearProgram:
             raise ValueError(f"duplicate variable name {name!r}")
         if not lb <= ub or lb == math.inf or ub == -math.inf:
             raise ValueError(f"variable {name!r} has bounds [{lb}, {ub}]")
+        if not math.isfinite(objective):
+            raise ValueError(f"variable {name!r} has objective {objective}")
         self._standard = self._face = None
         self._index[name] = len(self._names)
         self._names.append(name)
@@ -192,9 +201,14 @@ class LinearProgram:
             raise ValueError(f"op must be one of {_OPS}, got {op!r}")
         if label in self._labels:
             raise ValueError(f"duplicate constraint label {label!r}")
-        for name in coeffs:
+        for name, coef in coeffs.items():
             if name not in self._index:
                 raise ValueError(f"constraint {label!r} uses unknown variable {name!r}")
+            if not math.isfinite(coef):
+                raise ValueError(f"constraint {label!r} has coefficient "
+                                 f"{coef} on {name!r}")
+        if not math.isfinite(rhs):
+            raise ValueError(f"constraint {label!r} has rhs {rhs}")
         self._standard = self._face = None
         self._labels[label] = len(self._rows)
         self._rows.append((label, dict(coeffs), op, float(rhs)))
@@ -307,10 +321,10 @@ class LpSolution:
 class _Standard:
     """Internal min-form constraints A x = b, lb <= x <= ub, where columns
     [0, n) are the user's variables and [n, n+m) are row slacks, with
-    ``b_scale = max(1, max|b|)``. ``A`` is held as its entries alone:
-    ``dense`` builds the matrix for one solve, and nothing keeps it. No
-    objective (``_objective`` reads that at each solve): it holds while the
-    LP gains no variable or row."""
+    ``b_scale = max(1, max|b|)``. ``A`` is held as its CSC alone
+    (``columns``): ``dense`` builds the matrix for one solve, and nothing
+    keeps it. No objective (``_objective`` reads that at each solve): it
+    holds while the LP gains no variable or row."""
 
     def __init__(self, lp: LinearProgram):
         self.n = n = lp.n_variables
@@ -328,8 +342,8 @@ class _Standard:
                 vals.append(coef)
             self.b[i] = rhs
             self.lb[n + i], self.ub[n + i] = _SLACK_BOUNDS[op]
-        # A's entries column by column, so that they are also its CSC, and
-        # each column's in row order, so that pricing adds them in row order
+        # A's entries column by column, as CSC, and each column's in row
+        # order, so that pricing adds them in row order
         rows += range(m)
         cols += range(n, n + m)
         vals += [1.0] * m
@@ -337,17 +351,17 @@ class _Standard:
         rows = np.asarray(rows, dtype=np.intp)[order]
         cols = np.asarray(cols, dtype=np.intp)[order]
         vals = np.asarray(vals, dtype=float)[order] + 0.0  # -0.0 -> 0.0
-        self.entries = rows, cols, vals
-        # as CSC: column j's entries are [starts[j], starts[j + 1])
+        # column j's entries are [starts[j], starts[j + 1])
         self.columns = (np.searchsorted(cols, np.arange(n + m + 1)), rows,
                         vals)
         self.b_scale = max(1.0, float(np.max(np.abs(self.b), initial=0.0)))
 
     def dense(self) -> np.ndarray:
-        """The dense ``A``, built from the entries."""
-        rows, cols, vals = self.entries
-        A = np.zeros((self.m, self.n + self.m))
-        A[rows, cols] = vals
+        """The dense ``A``, built from its CSC."""
+        starts, rows, vals = self.columns
+        total = self.n + self.m
+        A = np.zeros((self.m, total))
+        A[rows, np.repeat(np.arange(total), np.diff(starts))] = vals
         return A
 
     def crash(self, A: np.ndarray, start: np.ndarray) -> tuple | None:
@@ -359,8 +373,7 @@ class _Standard:
         if key != self._crash_key:
             crashed = _crash_basis(self, A, start)
             if crashed is not None:
-                crashed += (_factor_basis(A, np.zeros(0), crashed[2],
-                                          self.columns),)
+                crashed += (_factor_basis(self.columns, crashed[2]),)
             self._crash_key, self._crashed = key, crashed
         if self._crashed is None:
             return None
@@ -386,71 +399,53 @@ def _initial_point(std: _Standard) -> tuple[np.ndarray, np.ndarray]:
     return x, state
 
 
-def _factor(A: np.ndarray, art_sign: np.ndarray, basis: np.ndarray):
-    """The LU of the basis columns of ``[A, diag(art_sign)]``, gathered
-    column-major and factored in place."""
-    total = A.shape[1]
-    art = np.flatnonzero(basis >= total)
-    B = A.T[np.where(basis < total, basis, 0)].T
-    if art.size:
-        rows = basis[art] - total
-        B[:, art] = 0.0
-        B[rows, art] = art_sign[rows]
-    # max|B|, read before LAPACK overwrites B with its LU
-    scale = max(1.0, float(B.max()), -float(B.min()))
-    # lu_factor's LAPACK routine; an exact zero pivot fails the test below
-    lu, piv, _info = dgetrf(B, overwrite_a=1)
-    if (not np.isfinite(lu).all()
-            or float(np.abs(lu.diagonal()).min()) < _SINGULAR * scale):
-        raise LpNumericalError("singular basis matrix")
-    return lu, piv
+def _with_artificials(columns: tuple, art_sign: np.ndarray) -> tuple:
+    """The CSC ``columns`` of ``A`` (as ``_Standard.columns`` holds them)
+    extended to ``[A, diag(art_sign)]``: column ``total + i`` is
+    ``art_sign[i]`` in row ``i``. Without artificials, ``columns`` itself."""
+    if not len(art_sign):
+        return columns
+    starts, rows, vals = columns
+    m = len(art_sign)
+    return (np.concatenate([starts, starts[-1] + np.arange(1, m + 1)]),
+            np.concatenate([rows, np.arange(m)]),
+            np.concatenate([vals, art_sign]))
 
 
-def _splu(columns: tuple, art_sign: np.ndarray, basis: np.ndarray) -> SuperLU:
-    """SuperLU of the basis columns of ``[A, diag(art_sign)]``, gathered as
-    CSC from A's entries ``columns`` (as ``_Standard.columns`` holds them)
-    and factored in their given order, under ``_factor``'s singularity
-    rule."""
+def _factor_basis(columns: tuple, basis: np.ndarray):
+    """The LU of the basis columns of the CSC ``columns``, gathered once:
+    SuperLU, factored in the given column order, when the basis has
+    ``_SPARSE_ROWS`` rows or more, else LAPACK ``dgetrf`` (the routine
+    ``lu_factor`` wraps) on the basis scattered column-major. Either is
+    singular, ``LpNumericalError``, when a factor is not finite or a pivot
+    is below ``_SINGULAR`` times ``max(1, max|B|)``."""
     starts, rows, vals = columns
     m = len(basis)
-    if len(art_sign):  # the artificial diagonal: one entry per column
-        starts = np.concatenate([starts, starts[-1] + np.arange(1, m + 1)])
-        rows = np.concatenate([rows, np.arange(m)])
-        vals = np.concatenate([vals, art_sign])
     first = starts[basis]
     count = starts[basis + 1] - first
     indptr = np.concatenate([[0], np.cumsum(count)])
     at = np.repeat(first - indptr[:-1], count) + np.arange(indptr[-1])
-    data = vals[at]
+    data, index = vals[at], rows[at]
     scale = max(1.0, float(np.abs(data).max(initial=0.0)))
-    try:
-        factor = splu(csc_array((data, rows[at], indptr), shape=(m, m)),
-                      permc_spec="NATURAL")
-    except RuntimeError as err:  # "Factor is exactly singular"
-        raise LpNumericalError("singular basis matrix") from err
-    U, L = factor.U, factor.L
-    if (not (np.isfinite(U.data).all() and np.isfinite(L.data).all())
-            or float(np.abs(U.diagonal()).min()) < _SINGULAR * scale):
+    if m < _SPARSE_ROWS:
+        B = np.zeros((m, m), order="F")
+        B[index, np.repeat(np.arange(m), count)] = data
+        # factored in place; an exact zero pivot fails the test below
+        lu, piv, _info = dgetrf(B, overwrite_a=1)
+        factor, pivots = (lu, piv), lu.diagonal()
+        finite = np.isfinite(lu).all()
+    else:
+        try:
+            factor = splu(csc_array((data, index, indptr), shape=(m, m)),
+                          permc_spec="NATURAL")
+        except RuntimeError as err:  # "Factor is exactly singular"
+            raise LpNumericalError("singular basis matrix") from err
+        pivots = factor.U.diagonal()
+        finite = (np.isfinite(factor.U.data).all()
+                  and np.isfinite(factor.L.data).all())
+    if not finite or float(np.abs(pivots).min()) < _SINGULAR * scale:
         raise LpNumericalError("singular basis matrix")
     return factor
-
-
-def _columns(A: np.ndarray) -> tuple:
-    """The nonzeros of a dense ``A`` held as ``_Standard.columns`` holds
-    its entries."""
-    cols, rows = np.nonzero(A.T)
-    starts = np.searchsorted(cols, np.arange(A.shape[1] + 1))
-    return starts, rows, A[rows, cols]
-
-
-def _factor_basis(A: np.ndarray, art_sign: np.ndarray, basis: np.ndarray,
-                  columns: tuple | None = None):
-    """The LU of the basis columns of ``[A, diag(art_sign)]``: SuperLU from
-    A's entries ``columns`` (read from ``A`` when not given) when the basis
-    has ``_SPARSE_ROWS`` rows or more, else dense LAPACK (``_factor``)."""
-    if len(basis) < _SPARSE_ROWS:
-        return _factor(A, art_sign, basis)
-    return _splu(_columns(A) if columns is None else columns, art_sign, basis)
 
 
 def _lu_solve(lu, b: np.ndarray, trans: int) -> np.ndarray:
@@ -499,11 +494,10 @@ class _Factor:
         self.r = np.empty(_REFACTOR, dtype=np.intp)
         self.k = 0
 
-    def refresh(self, A: np.ndarray, art_sign: np.ndarray,
-                basis: np.ndarray, columns: tuple | None = None) -> None:
-        """Factor the basis afresh (``_factor_basis``, from A's entries
-        ``columns`` when given), with no eta."""
-        self.lu = _factor_basis(A, art_sign, basis, columns)
+    def refresh(self, columns: tuple, basis: np.ndarray) -> None:
+        """Factor the basis of the CSC ``columns`` afresh
+        (``_factor_basis``), with no eta."""
+        self.lu = _factor_basis(columns, basis)
         self.k = 0
 
     def update(self, r: int, w: np.ndarray) -> None:
@@ -535,27 +529,22 @@ class _Factor:
         return _lu_solve(self.lu, v, 1)
 
 
-def _column(A: np.ndarray, art_sign: np.ndarray, q: int) -> np.ndarray:
-    """Column ``q`` of ``[A, diag(art_sign)]``."""
-    total = A.shape[1]
-    if q < total:
-        return A[:, q]
-    a = np.zeros(len(art_sign))
-    a[q - total] = art_sign[q - total]
+def _column(columns: tuple, m: int, q: int) -> np.ndarray:
+    """Column ``q`` of the CSC ``columns`` of ``m`` rows, dense."""
+    starts, rows, vals = columns
+    lo, hi = starts.item(q), starts.item(q + 1)
+    a = np.zeros(m)
+    a[rows[lo:hi]] = vals[lo:hi]
     return a
 
 
-def _pricing(std: _Standard, art_sign: np.ndarray):
-    """The reduced costs ``c - [A, diag(art_sign)].T @ y`` as a function of
-    ``(c, y)``, summed over the entries of ``A`` and phase 1's artificial
-    diagonal, if any."""
-    rows, cols, vals = std.entries
-    size = std.n + std.m + len(art_sign)
-    if len(art_sign):
-        i = np.arange(std.m)
-        rows = np.concatenate([rows, i])
-        cols = np.concatenate([cols, std.n + std.m + i])
-        vals = np.concatenate([vals, art_sign])
+def _pricing(columns: tuple):
+    """The reduced costs ``c - M.T @ y`` of the matrix ``M`` with CSC
+    ``columns`` as a function of ``(c, y)``, each column's terms summed in
+    row order."""
+    starts, rows, vals = columns
+    size = len(starts) - 1
+    cols = np.repeat(np.arange(size), np.diff(starts))
 
     def price(c: np.ndarray, y: np.ndarray) -> np.ndarray:
         return c - np.bincount(cols, weights=vals * y[rows], minlength=size)
@@ -606,12 +595,13 @@ def _leaving(w: np.ndarray, sigma: float, x: np.ndarray, lb: np.ndarray,
     return t_best, r_best
 
 
-def _run_phase(std: _Standard, A: np.ndarray, art_sign: np.ndarray,
-               c: np.ndarray, lb: np.ndarray, ub: np.ndarray, x: np.ndarray,
+def _run_phase(std: _Standard, art_sign: np.ndarray, c: np.ndarray,
+               lb: np.ndarray, ub: np.ndarray, x: np.ndarray,
                state: np.ndarray, basis: np.ndarray, max_iter: int,
                factor: _Factor) -> tuple[str, np.ndarray, PhaseStats]:
     """Iterate to optimality for cost vector c over the columns of
-    ``[A, diag(art_sign)]``. Returns (status, duals, counts).
+    ``[A, diag(art_sign)]``; pricing, FTRAN and the basis LU all read its
+    CSC. Returns (status, duals, counts).
 
     ``factor`` holds the LU of ``basis`` with no eta, or no LU. The basis
     is factored when it has none, and the LU kept across pivots: each basis
@@ -623,14 +613,15 @@ def _run_phase(std: _Standard, A: np.ndarray, art_sign: np.ndarray,
     m = len(basis)
     fixed = lb == ub
     stats = PhaseStats()
-    price = _pricing(std, art_sign)
+    columns = _with_artificials(std.columns, art_sign)
+    price = _pricing(columns)
     flipped = False
     while True:
         if stats.pivots + stats.bound_flips >= max_iter:
             raise LpNumericalError(
                 f"simplex exceeded {max_iter} iterations (possible cycling)")
         if m and (factor.lu is None or factor.k >= _REFACTOR):
-            factor.refresh(A, art_sign, basis, std.columns)
+            factor.refresh(columns, basis)
             stats.factorizations += 1
             flipped = False
         if not flipped:
@@ -640,7 +631,7 @@ def _run_phase(std: _Standard, A: np.ndarray, art_sign: np.ndarray,
             rc = price(c, y)
         q, sigma = _entering(rc, state, fixed)
         if q >= 0:
-            w = factor.ftran(_column(A, art_sign, q)) if m else np.zeros(0)
+            w = factor.ftran(_column(columns, m, q)) if m else np.zeros(0)
             flip = ub.item(q) - lb.item(q)  # inf when either bound is
             t_best, r_best = _leaving(w, sigma, x, lb, ub, basis, flip)
         if q < 0 or not math.isfinite(t_best):
@@ -716,20 +707,20 @@ def _feasible_start_basis(std: _Standard, A: np.ndarray, x: np.ndarray,
     return basis
 
 
-def _drive_out_artificials(A: np.ndarray, art_sign: np.ndarray,
-                           state: np.ndarray, basis: np.ndarray) -> int:
+def _drive_out_artificials(A: np.ndarray, columns: tuple, state: np.ndarray,
+                           basis: np.ndarray) -> int:
     """Replace basic artificial columns (all at value zero after a feasible
     phase 1) with the lowest-index column of ``A`` having a usable pivot. An
-    artificial without one (a redundant row) stays basic. Returns the number
-    of basis factorizations made, one per artificial. A basis of
-    ``_SPARSE_ROWS`` rows or more is gathered from ``A`` itself
-    (``_columns``), which the rare drive-out can afford."""
+    artificial without one (a redundant row) stays basic. ``columns`` is
+    the CSC of ``[A, diag(art_sign)]``, whose basis each LU factors; the
+    row of ``B^-1 A`` is the dense product. Returns the number of basis
+    factorizations made, one per artificial."""
     n_real = A.shape[1]
     arts = np.flatnonzero(basis >= n_real)
     for k in arts:
         ek = np.zeros(len(basis))
         ek[k] = 1.0
-        row = _lu_solve(_factor_basis(A, art_sign, basis), ek, 1) @ A
+        row = _lu_solve(_factor_basis(columns, basis), ek, 1) @ A
         usable = np.flatnonzero((state[:n_real] != _BASIC)
                                 & (np.abs(row) > _PIVOT_EPS))
         if usable.size:
@@ -798,7 +789,8 @@ def _solve_reference(std: _Standard, A: np.ndarray, c: np.ndarray,
                      start: np.ndarray | None = None
                      ) -> tuple[str, np.ndarray, np.ndarray, SolveStats]:
     """Bounded simplex for the min-form costs ``c`` over the standard form
-    with dense matrix ``A``. Phase 2 starts from a basis crashed at
+    with dense matrix ``A``, which the start paths and the drive-out read;
+    the phases read its CSC. Phase 2 starts from a basis crashed at
     ``start`` when that is a feasible vertex, else from a feasible nonbasic
     start, else after phase 1, whose artificial columns are the signs
     ``art_sign`` alone: column ``total + i`` is ``art_sign[i]`` in row
@@ -825,7 +817,7 @@ def _solve_reference(std: _Standard, A: np.ndarray, c: np.ndarray,
         state = np.concatenate([state, np.full(m, _BASIC, dtype=np.int8)])
         basis = np.arange(total, total + m)
         c1 = np.concatenate([np.zeros(total), np.ones(m)])
-        status, _y, phase_1 = _run_phase(std, A, art_sign, c1, lb, ub, x,
+        status, _y, phase_1 = _run_phase(std, art_sign, c1, lb, ub, x,
                                          state, basis, max_iter, factor)
         if status != OPTIMAL:
             raise LpNumericalError("phase 1 terminated abnormally")
@@ -833,7 +825,8 @@ def _solve_reference(std: _Standard, A: np.ndarray, c: np.ndarray,
             return (INFEASIBLE, x[:std.n], np.zeros(m),
                     SolveStats(PHASE_1, phase_1, None,
                                factorization=_kind(factor)))
-        drive_outs = _drive_out_artificials(A, art_sign, state, basis)
+        drive_outs = _drive_out_artificials(
+            A, _with_artificials(std.columns, art_sign), state, basis)
         if drive_outs:
             # phase 1's final factor may not be of phase 2's basis
             factor.lu = None
@@ -841,7 +834,7 @@ def _solve_reference(std: _Standard, A: np.ndarray, c: np.ndarray,
         # out for phase 2
         lb[total:] = ub[total:] = 0.0
         c = np.concatenate([c, np.zeros(m)])
-    status, y, phase_2 = _run_phase(std, A, art_sign, c, lb, ub, x, state,
+    status, y, phase_2 = _run_phase(std, art_sign, c, lb, ub, x, state,
                                     basis, max_iter, factor)
     return status, x[:std.n], y, SolveStats(path, phase_1, phase_2, drive_outs,
                                             _kind(factor))
@@ -872,16 +865,17 @@ def _certify(std: _Standard, A: np.ndarray, c: np.ndarray, x: np.ndarray,
     n = std.n
     # recover slack values from row activities
     xe = np.concatenate([x, std.b - A[:, :n] @ x])
-    scale = max(std.b_scale, _max0(np.abs(xe)))
-    primal_res = max(_max0(std.lb - xe), _max0(xe - std.ub))
+    scale = _max0(np.abs(xe), [std.b_scale])
+    primal_res = _max0(std.lb - xe, xe - std.ub)
     rc = c - A.T @ y
     # internal min form: positive rc must rest on a finite lower bound,
     # negative rc on a finite upper bound
     on_lb = (rc > 0) & (std.lb > -math.inf)
     on_ub = (rc < 0) & (std.ub < math.inf)
-    dual_res = max(_max0(rc[(rc > 0) & ~on_lb]), _max0(-rc[(rc < 0) & ~on_ub]))
-    comp_res = max(_max0(rc[on_lb] * (xe[on_lb] - std.lb[on_lb]) / scale),
-                   _max0(-rc[on_ub] * (std.ub[on_ub] - xe[on_ub]) / scale))
+    # a NaN reduced cost counts as infeasible
+    dual_res = _max0(rc[~(rc <= 0) & ~on_lb], -rc[(rc < 0) & ~on_ub])
+    comp_res = _max0(rc[on_lb] * (xe[on_lb] - std.lb[on_lb]) / scale,
+                     -rc[on_ub] * (std.ub[on_ub] - xe[on_ub]) / scale)
     dual_obj = (float(std.b @ y)
                 + float(rc[on_lb] @ std.lb[on_lb])
                 + float(rc[on_ub] @ std.ub[on_ub]))
@@ -896,9 +890,11 @@ def _certify(std: _Standard, A: np.ndarray, c: np.ndarray, x: np.ndarray,
     )
 
 
-def _max0(values: np.ndarray) -> float:
-    """Largest entry, or 0 when every entry is below 0 or there is none."""
-    return max(0.0, float(np.max(values))) if values.size else 0.0
+def _max0(*values: ArrayLike) -> float:
+    """Largest entry of the arrays ``values``, or 0 when every entry is
+    below 0 or there is none; NaN when any entry is NaN."""
+    top = float(np.max(np.concatenate(values), initial=-math.inf))
+    return top if not top <= 0.0 else 0.0
 
 
 def solve(lp: LinearProgram, start: ArrayLike | None = None) -> LpSolution:

@@ -119,6 +119,23 @@ class TestBasics:
         assert prog.n_variables == 0
         prog.add_variable("x", -math.inf, math.inf)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["objective", "coefficient", "rhs"])
+    def test_non_finite_data_is_rejected(self, where, bad):
+        prog = lpmod.LinearProgram()
+        prog.add_variable("x", 0.0, 5.0)
+        if where == "objective":
+            with pytest.raises(ValueError, match="objective"):
+                prog.add_variable("y", objective=bad)
+        else:
+            coef, rhs = (bad, 1.0) if where == "coefficient" else (1.0, bad)
+            with pytest.raises(ValueError, match=where):
+                prog.add_constraint("row", {"x": coef}, "<=", rhs)
+        # nothing was added
+        assert (prog.n_variables, prog.n_constraints) == (1, 0)
+        prog.add_variable("y", objective=1.0)
+        prog.add_constraint("row", {"x": 1.0}, "<=", 1.0)
+
     def test_accumulating_coefficients(self):
         prog = lpmod.LinearProgram(sense="max")
         prog.add_variable("x", 0.0, 5.0, objective=1.0)
@@ -182,6 +199,18 @@ class TestCertificates:
         tampered = lpmod.LpSolution(status=sol.status, objective=sol.objective,
                                     primal=bad_primal, duals=dict(sol.duals))
         report = lpmod.check_certificates(prog, tampered)
+        assert not report.ok
+
+    @pytest.mark.parametrize("where", ["primal", "duals"])
+    def test_nan_makes_its_residual_nan(self, where):
+        prog = single_period_market_lp()
+        sol = lpmod.solve(prog)
+        values = {"primal": dict(sol.primal), "duals": dict(sol.duals)}
+        values[where][next(iter(values[where]))] = math.nan
+        report = lpmod.check_certificates(
+            prog, lpmod.LpSolution(sol.status, sol.objective, **values))
+        assert math.isnan(report.primal_residual if where == "primal"
+                          else report.dual_residual)
         assert not report.ok
 
 
@@ -452,9 +481,9 @@ class TestWarmStartedFaces:
         calls = []
         run_phase = lpmod._run_phase
 
-        def spy(std, A, art_sign, c, *args, **kwargs):
+        def spy(std, art_sign, c, *args, **kwargs):
             calls.append(art_sign.size > 0)
-            return run_phase(std, A, art_sign, c, *args, **kwargs)
+            return run_phase(std, art_sign, c, *args, **kwargs)
 
         monkeypatch.setattr(lpmod, "_run_phase", spy)
         return calls
@@ -748,9 +777,8 @@ class TestPivotPathAgainstLoop:
         bases = []
         run_phase = lpmod._run_phase
 
-        def spy(std, A, art_sign, c, lb, ub, x, state, basis, *rest):
-            out = run_phase(std, A, art_sign, c, lb, ub, x, state, basis,
-                            *rest)
+        def spy(std, art_sign, c, lb, ub, x, state, basis, *rest):
+            out = run_phase(std, art_sign, c, lb, ub, x, state, basis, *rest)
             bases.append(basis.tolist())
             return out
 
@@ -842,9 +870,8 @@ class TestFactorUpdates:
         bases = []
         run_phase = lpmod._run_phase
 
-        def spy(std, A, art_sign, c, lb, ub, x, state, basis, *rest):
-            out = run_phase(std, A, art_sign, c, lb, ub, x, state, basis,
-                            *rest)
+        def spy(std, art_sign, c, lb, ub, x, state, basis, *rest):
+            out = run_phase(std, art_sign, c, lb, ub, x, state, basis, *rest)
             bases.append(basis.tolist())
             return out
 
@@ -965,7 +992,7 @@ class TestEtaBlockAgainstLoop:
             m = int(rng.integers(1, 60))
             B0 = rng.uniform(-1.0, 1.0, (m, m)) + m * np.eye(m)
             factor = lpmod._Factor(m)
-            factor.refresh(B0, np.zeros(0), np.arange(m))
+            factor.refresh(_csc(B0), np.arange(m))
             etas = []
             # half the leaving rows come from a few, so rows repeat
             few = rng.integers(m, size=min(m, 4))
@@ -990,16 +1017,18 @@ class TestEtaBlockAgainstLoop:
 
 
 class TestFactorAgainstLuFactor:
-    """``_factor`` calls LAPACK ``dgetrf`` itself: its LU and pivots are
-    ``scipy.linalg.lu_factor``'s bit for bit, and a singular basis raises
-    ``LpNumericalError`` with no warning."""
+    """Below ``_SPARSE_ROWS``, ``_factor_basis`` calls LAPACK ``dgetrf``
+    itself on the basis scattered from the CSC: its LU and pivots are
+    ``scipy.linalg.lu_factor``'s of the dense basis bit for bit, and a
+    singular basis raises ``LpNumericalError`` with no warning."""
 
     @staticmethod
-    def _assert_lu_factor_bits(A, art_sign, basis, factor=lpmod._factor):
-        B = (np.hstack([A, np.diag(art_sign)]) if art_sign.size else A)[
-            :, basis]
-        want_lu, want_piv = scipy.linalg.lu_factor(B)
-        lu, piv = factor(A, art_sign, basis)
+    def _assert_lu_factor_bits(A, columns, basis,
+                               factor_basis=lpmod._factor_basis):
+        """``factor_basis(columns, basis)`` against ``lu_factor`` of the
+        basis columns of the dense ``A`` that ``columns`` holds."""
+        want_lu, want_piv = scipy.linalg.lu_factor(A[:, basis])
+        lu, piv = factor_basis(columns, basis)
         assert _same_bits(lu, want_lu) and _same_bits(piv, want_piv)
         return lu, piv
 
@@ -1011,17 +1040,29 @@ class TestFactorAgainstLuFactor:
             art_sign = (rng.choice([-1.0, 1.0], m) if rng.random() < 0.5
                         else np.zeros(0))
             basis = rng.permutation(2 * m + art_sign.size)[:m]
-            self._assert_lu_factor_bits(A, art_sign, basis)
+            A1 = np.hstack([A, np.diag(art_sign)]) if art_sign.size else A
+            self._assert_lu_factor_bits(
+                A1, lpmod._with_artificials(_csc(A), art_sign), basis)
 
     def test_fixture_bases(self, monkeypatch):
         seen = []
-        factor = lpmod._factor
+        factor_basis = lpmod._factor_basis
+        with_artificials = lpmod._with_artificials
+        artificial = []
 
-        def spy(A, art_sign, basis):
-            seen.append(art_sign.size > 0)
-            return self._assert_lu_factor_bits(A, art_sign, basis, factor)
+        def spy_artificials(columns, art_sign):
+            out = with_artificials(columns, art_sign)
+            if art_sign.size:
+                artificial.append(out)
+            return out
 
-        monkeypatch.setattr(lpmod, "_factor", spy)
+        def spy(columns, basis):
+            seen.append(any(columns is a for a in artificial))
+            return self._assert_lu_factor_bits(
+                _dense(columns, len(basis)), columns, basis, factor_basis)
+
+        monkeypatch.setattr(lpmod, "_with_artificials", spy_artificials)
+        monkeypatch.setattr(lpmod, "_factor_basis", spy)
         for prog, sol in _fixture_clearings():
             lpmod.solve(prog)
             for label in _balance_labels(prog)[:2]:
@@ -1035,10 +1076,10 @@ class TestFactorAgainstLuFactor:
             warnings.simplefilter("error")
             # columns 0 and 1 are parallel: dgetrf meets an exact zero pivot
             with pytest.raises(lpmod.LpNumericalError, match="singular"):
-                lpmod._factor(A, np.zeros(0), np.array([0, 1]))
+                lpmod._factor_basis(_csc(A), np.array([0, 1]))
             with pytest.raises(lpmod.LpNumericalError, match="singular"):
-                lpmod._factor(np.zeros((2, 2)), np.zeros(0),
-                              np.array([0, 1]))
+                lpmod._factor_basis(_csc(np.zeros((2, 2))),
+                                    np.array([0, 1]))
 
 
 def _initial_point_by_loop(std):
@@ -1110,13 +1151,13 @@ def _feasible_start_basis_by_loop(std, A, x, state):
 
 
 def _drive_out_artificials_by_loop(A, lb, ub, state, basis, n_real):
-    """Row by row with scipy's ``lu_solve``: the reference for
-    ``_drive_out_artificials``."""
+    """Row by row with scipy's ``lu_factor`` and ``lu_solve``: the
+    reference for ``_drive_out_artificials``."""
     m = len(basis)
     for k in range(m):
         if basis[k] < n_real:
             continue
-        lu = lpmod._factor(A, np.zeros(0), basis)
+        lu = scipy.linalg.lu_factor(A[:, basis], check_finite=False)
         ek = np.zeros(m)
         ek[k] = 1.0
         z = scipy.linalg.lu_solve(lu, ek, trans=1, check_finite=False)
@@ -1139,6 +1180,22 @@ def _drive_out_artificials_by_loop(A, lb, ub, state, basis, n_real):
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _csc(A: np.ndarray) -> tuple:
+    """The nonzeros of a dense ``A`` held as ``_Standard.columns`` holds
+    its CSC."""
+    cols, rows = np.nonzero(A.T)
+    starts = np.searchsorted(cols, np.arange(A.shape[1] + 1))
+    return starts, rows, A[rows, cols]
+
+
+def _dense(columns: tuple, m: int) -> np.ndarray:
+    """The dense matrix of ``m`` rows whose CSC is ``columns``."""
+    starts, rows, vals = columns
+    M = np.zeros((m, len(starts) - 1))
+    M[rows, np.repeat(np.arange(len(starts) - 1), np.diff(starts))] = vals
+    return M
 
 
 class TestStartBasesAgainstLoop:
@@ -1179,19 +1236,22 @@ class TestStartBasesAgainstLoop:
         counts = []
         drive_out = lpmod._drive_out_artificials
 
-        def spy(A, art_sign, state, basis):
+        def spy(A, columns, state, basis):
             state_ref, basis_ref = state.copy(), basis.copy()
             # the loop runs on the dense matrix with phase 1's artificial
             # diagonal; it also pinned a redundant row's artificial at zero,
             # which phase 2 does for every artificial
-            A1 = np.hstack([A, np.diag(art_sign)])
+            A1 = _dense(columns, A.shape[0])
             n_real = A.shape[1]
+            arts = A1[:, n_real:]
+            assert _same_bits(A1[:, :n_real], A)
+            assert _same_bits(arts, np.diag(np.diag(arts)))
             _drive_out_artificials_by_loop(
                 A1, np.zeros(A1.shape[1]), np.full(A1.shape[1], math.inf),
                 state_ref, basis_ref, n_real)
             # one factorization per artificial basic on entry
             want = int(np.count_nonzero(basis >= n_real))
-            count = drive_out(A, art_sign, state, basis)
+            count = drive_out(A, columns, state, basis)
             assert count == want
             assert _same_bits(basis, basis_ref)
             assert _same_bits(state, state_ref)
@@ -1364,10 +1424,11 @@ def _dense_with_artificials(std, art_sign):
     return np.hstack([A, np.diag(art_sign)]) if art_sign.size else A
 
 
-def _dense_pricing(std, art_sign):
+def _dense_pricing(columns):
     """The pricing the simplex used before: the dense product over every
-    column of ``[A, diag(art_sign)]``."""
-    A = _dense_with_artificials(std, art_sign)
+    column of the matrix whose CSC is ``columns``, ``[A, diag(art_sign)]``
+    in a phase."""
+    A = _dense(columns, int(columns[1].max(initial=-1)) + 1)
     return lambda c, y: c - A.T @ y
 
 
@@ -1383,9 +1444,8 @@ class TestPricingAgainstDense:
         bases = []
         run_phase = lpmod._run_phase
 
-        def spy(std, A, art_sign, c, lb, ub, x, state, basis, *rest):
-            out = run_phase(std, A, art_sign, c, lb, ub, x, state, basis,
-                            *rest)
+        def spy(std, art_sign, c, lb, ub, x, state, basis, *rest):
+            out = run_phase(std, art_sign, c, lb, ub, x, state, basis, *rest)
             bases.append(basis.tolist())
             return out
 
@@ -1441,9 +1501,9 @@ class TestPricingAgainstDense:
         priced = []
         run_phase = lpmod._run_phase
 
-        def spy(std, A, art_sign, *args):
+        def spy(std, art_sign, *args):
             priced.append((std, art_sign))
-            return run_phase(std, A, art_sign, *args)
+            return run_phase(std, art_sign, *args)
 
         monkeypatch.setattr(lpmod, "_run_phase", spy)
         rng = np.random.default_rng(44)
@@ -1457,8 +1517,9 @@ class TestPricingAgainstDense:
             artificial += A.shape[1] > std.n + std.m
             c = rng.uniform(-5.0, 5.0, A.shape[1])
             y = rng.uniform(-10.0, 10.0, std.m)
-            got = lpmod._pricing(std, art_sign)(c, y)
-            want = _dense_pricing(std, art_sign)(c, y)
+            got = lpmod._pricing(
+                lpmod._with_artificials(std.columns, art_sign))(c, y)
+            want = c - A.T @ y
             tol = 1e-12 * float(np.max(np.abs(A))) * float(np.abs(y).sum())
             assert np.all(np.abs(got - want) <= tol)
         assert artificial >= 100
@@ -1790,7 +1851,8 @@ class TestSparseFactor:
                 assert sol.certificate.ok
                 assert lpmod.check_certificates(prog, sol).ok
 
-    def test_random_bases_solve_as_the_dense_matrix(self):
+    def test_random_bases_solve_as_the_dense_matrix(self, monkeypatch):
+        monkeypatch.setattr(lpmod, "_SPARSE_ROWS", 0)
         rng = np.random.default_rng(47)
         for _ in range(100):
             m = int(rng.integers(1, 40))
@@ -1804,7 +1866,9 @@ class TestSparseFactor:
                  else A)[:, basis]
             if np.linalg.cond(B) > 1e8:
                 continue
-            lu = lpmod._splu(lpmod._columns(A), art_sign, basis)
+            lu = lpmod._factor_basis(
+                lpmod._with_artificials(_csc(A), art_sign), basis)
+            assert isinstance(lu, lpmod.SuperLU)
             b = rng.uniform(-1.0, 1.0, m)
             for trans, want in ((0, np.linalg.solve(B, b)),
                                 (1, np.linalg.solve(B.T, b))):
@@ -1812,18 +1876,21 @@ class TestSparseFactor:
                 assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
     def test_entries_and_the_dense_matrix_give_the_same_columns(self):
-        def dense(std, columns):
-            starts, rows, vals = columns
-            M = np.zeros((std.m, std.n + std.m))
-            M[rows, np.repeat(np.arange(len(starts) - 1),
-                              np.diff(starts))] = vals
-            return M
-
+        rng = np.random.default_rng(48)
         for prog, _sol in _fixture_clearings():
             std = lpmod._Standard(prog)
             A = std.dense()
-            assert _same_bits(dense(std, std.columns), A)
-            assert _same_bits(dense(std, lpmod._columns(A)), A)
+            assert _same_bits(_dense(std.columns, std.m), A)
+            # every column of [A, diag(art_sign)], with and without
+            # artificials, as the phases read it
+            for art_sign in (np.zeros(0), rng.choice([-1.0, 1.0], std.m)):
+                want = _dense_with_artificials(std, art_sign)
+                columns = lpmod._with_artificials(std.columns, art_sign)
+                assert _same_bits(_dense(columns, std.m), want)
+                got = np.column_stack([
+                    lpmod._column(columns, std.m, q)
+                    for q in range(want.shape[1])])
+                assert _same_bits(got, want)
 
     @pytest.mark.parametrize("B", [
         [[1.0, 2.0], [2.0, 4.0]],          # parallel columns
@@ -1837,17 +1904,18 @@ class TestSparseFactor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(lpmod.LpNumericalError, match="singular"):
-                lpmod._factor_basis(A, np.zeros(0), np.array([0, 1]))
+                lpmod._factor_basis(_csc(A), np.array([0, 1]))
             # the dense LU draws the same line
+            monkeypatch.setattr(lpmod, "_SPARSE_ROWS", 10**9)
             with pytest.raises(lpmod.LpNumericalError, match="singular"):
-                lpmod._factor(A, np.zeros(0), np.array([0, 1]))
+                lpmod._factor_basis(_csc(A), np.array([0, 1]))
 
     def test_drive_out_reaches_the_dense_basis(self, monkeypatch):
         bases = {}
         drive_out = lpmod._drive_out_artificials
 
-        def spy(A, art_sign, state, basis):
-            count = drive_out(A, art_sign, state, basis)
+        def spy(A, columns, state, basis):
+            count = drive_out(A, columns, state, basis)
             bases[kind] = (count, basis.tolist())
             return count
 
@@ -1859,7 +1927,7 @@ class TestSparseFactor:
         for kind, rows in (("dense", 10**9), ("sparse", 1)):
             monkeypatch.setattr(lpmod, "_SPARSE_ROWS", rows)
             if kind == "sparse":
-                monkeypatch.setattr(lpmod, "_factor", no_dense_factor)
+                monkeypatch.setattr(lpmod, "dgetrf", no_dense_factor)
             sols[kind] = lpmod.solve(_redundant_row_lp())
             assert sols[kind].stats.factorization == kind
         assert bases["sparse"] == bases["dense"]
@@ -1944,7 +2012,7 @@ class TestFlipsAndCrashedFactors:
         factor_basis = lpmod._factor_basis
 
         def spy(*args):
-            factored.append(args[2].tolist())
+            factored.append(args[1].tolist())
             return factor_basis(*args)
 
         face_stats = []
