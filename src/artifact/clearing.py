@@ -9,6 +9,13 @@ The first three are one storage-level chain built by ``_clear_chain``: they
 differ only in the periods the chain spans and in how its last level is
 closed (an ``end_level`` row, or a price on the level).
 
+LP names: a builder forms the names of each block of columns or rows once,
+as a list (``_series``, ``_grid``; ``_add_bids`` for the bids), and the
+same list adds the columns, writes the coefficients and reads the solution
+(``_read``, a snapped value per name). One writer, ``_add_levels``, writes
+every storage-level recursion: the chain's ``level`` rows, the ``intra``
+rows of vlb's fresh charge and each bucket's ``inter`` rows.
+
 Price ranges: a chain clearing's optimal dual face, written in prices, is a
 system of difference constraints on the chain, so ``_chain_ranges`` gets
 every period's range from two sweeps over the bids and the optimal levels.
@@ -79,50 +86,91 @@ class ClearingResult:
         return tuple(self.delta_t * sum(row) for row in self.inter_discharge)
 
 
-def _add_bid_variables(prog: lpmod.LinearProgram, interval: IntervalSpec,
-                       dt: float, offset: int) -> None:
-    T = interval.grid.n_periods
-    for ld in interval.loads:
-        for t in range(T):
-            prog.add_variable(f"d[{ld.id},{offset + t + 1}]", 0.0,
-                              ld.max_quantity[t], objective=dt * ld.utility[t])
-    for g in interval.generators:
-        for t in range(T):
-            prog.add_variable(f"p[{g.id},{offset + t + 1}]", 0.0,
-                              g.max_quantity[t], objective=-dt * g.cost[t])
+def _series(stem: str, periods: range) -> list[str]:
+    """The names of one block of columns or rows: ``stem[t]`` per period."""
+    return [f"{stem}[{t}]" for t in periods]
 
 
-def _balance_coeffs(interval: IntervalSpec, t: int, offset: int) -> dict[str, float]:
-    coeffs = {f"d[{ld.id},{offset + t + 1}]": 1.0 for ld in interval.loads}
-    for g in interval.generators:
-        coeffs[f"p[{g.id},{offset + t + 1}]"] = -1.0
-    return coeffs
+def _grid(stem: str, keys, periods: range) -> list[list[str]]:
+    """The names of one keyed block: per key, ``stem[key,t]`` per period."""
+    return [[f"{stem}[{key},{t}]" for t in periods] for key in keys]
 
 
-def _extract_dispatch(sol: lpmod.LpSolution, interval: IntervalSpec,
-                      offset: int) -> tuple[list[dict[str, float]],
-                                            list[dict[str, float]]]:
-    T = interval.grid.n_periods
-    loads = [{ld.id: snap_zero(sol.primal[f"d[{ld.id},{offset + t + 1}]"])
-              for ld in interval.loads} for t in range(T)]
-    gens = [{g.id: snap_zero(sol.primal[f"p[{g.id},{offset + t + 1}]"])
-             for g in interval.generators} for t in range(T)]
-    return loads, gens
+def _read(sol: lpmod.LpSolution, names: list[str]) -> tuple[float, ...]:
+    """The snapped optimal values of the columns ``names``."""
+    return tuple(snap_zero(sol.primal[name]) for name in names)
 
 
-def _prices(sol: lpmod.LpSolution, n_periods: int,
+def _add_bids(prog: lpmod.LinearProgram, intervals: tuple[IntervalSpec, ...],
+              dt: float) -> list[tuple[IntervalSpec, int, list[str], list[str]]]:
+    """Add the bid columns of ``intervals`` in turn, each interval's loads
+    and then its generators, each bid's periods in order. Returns, per
+    period of the horizon, its interval, its index there and the names of
+    its load and of its generator columns."""
+    periods = []
+    for iv in intervals:
+        horizon = range(len(periods) + 1, len(periods) + iv.grid.n_periods + 1)
+        loads = _grid("d", [ld.id for ld in iv.loads], horizon)
+        gens = _grid("p", [g.id for g in iv.generators], horizon)
+        for ld, names in zip(iv.loads, loads):
+            for t, name in enumerate(names):
+                prog.add_variable(name, 0.0, ld.max_quantity[t],
+                                  objective=dt * ld.utility[t])
+        for g, names in zip(iv.generators, gens):
+            for t, name in enumerate(names):
+                prog.add_variable(name, 0.0, g.max_quantity[t],
+                                  objective=-dt * g.cost[t])
+        periods += [(iv, t, [names[t] for names in loads],
+                     [names[t] for names in gens])
+                    for t in range(iv.grid.n_periods)]
+    return periods
+
+
+def _add_balance(prog: lpmod.LinearProgram, periods: list,
+                 storage: list[dict[str, float]]) -> list[str]:
+    """Add one balance row per period of ``_add_bids``: its loads, less its
+    generators, plus the period's ``storage`` terms. Returns their labels."""
+    rows = _series("balance", range(1, len(periods) + 1))
+    for row, (_iv, _t, loads, gens), terms in zip(rows, periods, storage):
+        coeffs = dict.fromkeys(loads, 1.0)
+        coeffs.update(dict.fromkeys(gens, -1.0))
+        coeffs.update(terms)
+        prog.add_constraint(row, coeffs, "==", 0.0)
+    return rows
+
+
+def _add_levels(prog: lpmod.LinearProgram, rows: list[str], levels: list[str],
+                flows: list[str], coef: float, start: float) -> None:
+    """Add the rows ``rows[t]`` of one storage-level recursion:
+    ``levels[t] + coef * flows[t] - levels[t - 1] == 0``, with ``start`` in
+    place of the level before the first period."""
+    for t, (row, level, flow) in enumerate(zip(rows, levels, flows)):
+        coeffs = {level: 1.0, flow: coef}
+        if t:
+            coeffs[levels[t - 1]] = -1.0
+        prog.add_constraint(row, coeffs, "==", 0.0 if t else start)
+
+
+def _dispatch(sol: lpmod.LpSolution, periods: list
+              ) -> tuple[tuple[dict[str, float], ...], ...]:
+    """Per period of ``_add_bids``, each load's and each generator's
+    snapped dispatch, by participant id."""
+    return (tuple(dict(zip((ld.id for ld in iv.loads), _read(sol, loads)))
+                  for iv, _t, loads, _gens in periods),
+            tuple(dict(zip((g.id for g in iv.generators), _read(sol, gens)))
+                  for iv, _t, _loads, gens in periods))
+
+
+def _prices(sol: lpmod.LpSolution, balance: list[str],
             dt: float) -> tuple[float, ...]:
-    return tuple(snap_zero(sol.duals[f"balance[{t + 1}]"] / dt)
-                 for t in range(n_periods))
+    return tuple(snap_zero(sol.duals[row] / dt) for row in balance)
 
 
 def _face_ranges(prog: lpmod.LinearProgram, sol: lpmod.LpSolution,
-                 n_periods: int, dt: float) -> tuple[tuple[float, float], ...]:
-    ranges = []
-    for t in range(n_periods):
-        lo, hi = lpmod.dual_range(prog, sol, f"balance[{t + 1}]")
-        ranges.append((snap_zero(lo / dt), snap_zero(hi / dt)))
-    return tuple(ranges)
+                 balance: list[str], dt: float) -> tuple[tuple[float, float], ...]:
+    return tuple((snap_zero(lo / dt), snap_zero(hi / dt))
+                 for lo, hi in (lpmod.dual_range(prog, sol, row)
+                                for row in balance))
 
 
 # the side a generator's stationarity row puts on the price: its column
@@ -130,12 +178,13 @@ def _face_ranges(prog: lpmod.LinearProgram, sol: lpmod.LpSolution,
 _MIRROR = {"<=": ">=", ">=": "<=", "==": "==", None: None}
 
 
-def _chain_ranges(spans: list[tuple[IntervalSpec, int]], storage: StorageSpec,
+def _chain_ranges(periods: list, levels: list[str], storage: StorageSpec,
                   penalty: float | None, sol: lpmod.LpSolution,
                   prices: tuple[float, ...],
                   name: str) -> tuple[tuple[float, float], ...]:
     """Every period's range of supporting prices over the optimal dual face
-    of a ``_clear_chain`` LP, without solving the face.
+    of a ``_clear_chain`` LP, with bids ``periods`` (``_add_bids``) and
+    level columns ``levels``, without solving the face.
 
     Written in prices, the face is a system of difference constraints on
     the chain (``docs/decisions.md`` derives it): each bid bounds its period
@@ -159,17 +208,13 @@ def _chain_ranges(spans: list[tuple[IntervalSpec, int]], storage: StorageSpec,
     def side(var: str, cap: float) -> str | None:
         return lpmod.stationarity_op(sol.primal[var], 0.0, cap)
 
-    for iv, offset in spans:
-        for t in range(iv.grid.n_periods):
-            k = offset + t
-            for ld in iv.loads:
-                bound(k, side(f"d[{ld.id},{k + 1}]", ld.max_quantity[t]),
-                      ld.utility[t])
-            for g in iv.generators:
-                bound(k, _MIRROR[side(f"p[{g.id},{k + 1}]", g.max_quantity[t])],
-                      g.cost[t])
+    for k, (iv, t, loads, gens) in enumerate(periods):
+        for ld, var in zip(iv.loads, loads):
+            bound(k, side(var, ld.max_quantity[t]), ld.utility[t])
+        for g, var in zip(iv.generators, gens):
+            bound(k, _MIRROR[side(var, g.max_quantity[t])], g.cost[t])
     # links[t] is the side of pi_t against pi_{t + 1}
-    links = [side(f"e[{t + 1}]", storage.capacity) for t in range(total)]
+    links = [side(level, storage.capacity) for level in levels]
     if penalty is not None:
         bound(total - 1, links[-1], -penalty)
     for t in range(total - 1):
@@ -213,51 +258,33 @@ def _clear_chain(mode: str, intervals: tuple[IntervalSpec, ...],
     the last interval's end level; with one it is free and every MWh left
     costs ``penalty`` in the objective."""
     dt = intervals[0].grid.delta_t
-    spans = []
-    total = 0
-    for iv in intervals:
-        spans.append((iv, total))
-        total += iv.grid.n_periods
     prog = lpmod.LinearProgram(name=name, sense="max")
-    for iv, offset in spans:
-        _add_bid_variables(prog, iv, dt, offset)
-    for t in range(total):
-        prog.add_variable(f"pC[{t + 1}]", -math.inf, math.inf)
-    for t in range(total):
+    periods = _add_bids(prog, intervals, dt)
+    total = len(periods)
+    horizon = range(1, total + 1)
+    flows, levels = _series("pC", horizon), _series("e", horizon)
+    for flow in flows:
+        prog.add_variable(flow, -math.inf, math.inf)
+    for t, var in enumerate(levels):
         last = penalty is not None and t == total - 1
-        prog.add_variable(f"e[{t + 1}]", 0.0, storage.capacity,
+        prog.add_variable(var, 0.0, storage.capacity,
                           objective=-penalty if last else 0.0)
-    for iv, offset in spans:
-        for t in range(iv.grid.n_periods):
-            coeffs = _balance_coeffs(iv, t, offset)
-            coeffs[f"pC[{offset + t + 1}]"] = 1.0
-            prog.add_constraint(f"balance[{offset + t + 1}]", coeffs, "==", 0.0)
-    for t in range(total):
-        coeffs = {f"e[{t + 1}]": 1.0, f"pC[{t + 1}]": -dt}
-        if t:
-            coeffs[f"e[{t}]"] = -1.0
-        prog.add_constraint(f"level[{t + 1}]", coeffs, "==",
-                            e_init if t == 0 else 0.0)
+    balance = _add_balance(prog, periods, [{flow: 1.0} for flow in flows])
+    _add_levels(prog, _series("level", horizon), levels, flows, -dt, e_init)
     if penalty is None:
-        prog.add_constraint("end_level", {f"e[{total}]": 1.0}, "==",
+        prog.add_constraint("end_level", {levels[-1]: 1.0}, "==",
                             intervals[-1].end_level)
     sol = _solve_or_raise(prog,
                           "end_level" if penalty is None else "storage_level")
-    loads: list[dict[str, float]] = []
-    gens: list[dict[str, float]] = []
-    for iv, offset in spans:
-        ld, gd = _extract_dispatch(sol, iv, offset)
-        loads.extend(ld)
-        gens.extend(gd)
-    prices = _prices(sol, total, dt)
-    ranges = (_chain_ranges(spans, storage, penalty, sol, prices, name)
-              if compute_ranges else None)
-    level = tuple(snap_zero(sol.primal[f"e[{t + 1}]"]) for t in range(total))
+    loads, gens = _dispatch(sol, periods)
+    prices = _prices(sol, balance, dt)
+    ranges = (_chain_ranges(periods, levels, storage, penalty, sol, prices,
+                            name) if compute_ranges else None)
+    level = _read(sol, levels)
     return ClearingResult(
         mode=mode, delta_t=dt, n_periods=total,
-        load_dispatch=tuple(loads), gen_dispatch=tuple(gens),
-        storage_injection=tuple(snap_zero(sol.primal[f"pC[{t + 1}]"])
-                                for t in range(total)),
+        load_dispatch=loads, gen_dispatch=gens,
+        storage_injection=_read(sol, flows),
         prices=prices, price_ranges=ranges, level=level,
         objective=sol.objective, initial_content=float(e_init),
         final_content=level[-1], lp=prog, lp_solution=sol)
@@ -344,72 +371,52 @@ def clear_vlb(interval: IntervalSpec, storage: StorageSpec,
     so no period both charges fresh energy and discharges a bucket."""
     T, dt = interval.grid.n_periods, interval.grid.delta_t
     buckets = ledger.buckets
-    V = len(buckets)
     prog = lpmod.LinearProgram(name=name, sense="max")
-    _add_bid_variables(prog, interval, dt, 0)
-    for t in range(T):
-        prog.add_variable(f"pCa[{t + 1}]", -math.inf, math.inf)
-    for t in range(T):
+    periods = _add_bids(prog, (interval,), dt)
+    horizon, keys = range(1, T + 1), range(1, len(buckets) + 1)
+    charge, level = _series("pCa", horizon), _series("ea", horizon)
+    discharge, stored = _grid("pD", keys, horizon), _grid("ee", keys, horizon)
+    for flow in charge:
+        prog.add_variable(flow, -math.inf, math.inf)
+    for t, var in enumerate(level):
         # intra level may dip negative mid-interval while buckets hold
         # energy; the final level must be nonnegative on its own
-        lb = 0.0 if t == T - 1 else -math.inf
-        prog.add_variable(f"ea[{t + 1}]", lb, math.inf)
-    for v, bucket in enumerate(buckets):
-        for t in range(T):
-            prog.add_variable(f"pD[{v + 1},{t + 1}]", 0.0, math.inf,
-                              objective=-dt * bucket.price)
-    for v in range(V):
-        for t in range(T):
-            prog.add_variable(f"ee[{v + 1},{t + 1}]", 0.0, math.inf)
-    for t in range(T):
-        coeffs = _balance_coeffs(interval, t, 0)
-        coeffs[f"pCa[{t + 1}]"] = 1.0
-        for v in range(V):
-            coeffs[f"pD[{v + 1},{t + 1}]"] = -1.0
-        prog.add_constraint(f"balance[{t + 1}]", coeffs, "==", 0.0)
-    for t in range(T):
-        coeffs = {f"ea[{t + 1}]": 1.0, f"pCa[{t + 1}]": -dt}
-        if t:
-            coeffs[f"ea[{t}]"] = -1.0
-        prog.add_constraint(f"intra[{t + 1}]", coeffs, "==", 0.0)
-    for v, bucket in enumerate(buckets):
-        for t in range(T):
-            coeffs = {f"ee[{v + 1},{t + 1}]": 1.0, f"pD[{v + 1},{t + 1}]": dt}
-            if t:
-                coeffs[f"ee[{v + 1},{t}]"] = -1.0
-            prog.add_constraint(f"inter[{v + 1},{t + 1}]", coeffs, "==",
-                                bucket.quantity if t == 0 else 0.0)
-    for t in range(T):
-        coeffs = {f"ea[{t + 1}]": 1.0}
-        for v in range(V):
-            coeffs[f"ee[{v + 1},{t + 1}]"] = 1.0
-        prog.add_constraint(f"capacity_lo[{t + 1}]", dict(coeffs), ">=", 0.0)
-        prog.add_constraint(f"capacity_hi[{t + 1}]", dict(coeffs), "<=",
-                            storage.capacity)
-    end_coeffs = {f"ea[{T}]": 1.0}
-    for v in range(V):
-        end_coeffs[f"ee[{v + 1},{T}]"] = 1.0
-    prog.add_constraint("end_level", end_coeffs, ">=", interval.end_level)
+        prog.add_variable(var, 0.0 if t == T - 1 else -math.inf, math.inf)
+    for bucket, flows in zip(buckets, discharge):
+        for flow in flows:
+            prog.add_variable(flow, 0.0, math.inf, objective=-dt * bucket.price)
+    for levels in stored:
+        for var in levels:
+            prog.add_variable(var, 0.0, math.inf)
+    balance = _add_balance(prog, periods, [
+        {charge[t]: 1.0, **{flows[t]: -1.0 for flows in discharge}}
+        for t in range(T)])
+    _add_levels(prog, _series("intra", horizon), level, charge, -dt, 0.0)
+    for bucket, rows, levels, flows in zip(
+            buckets, _grid("inter", keys, horizon), stored, discharge):
+        _add_levels(prog, rows, levels, flows, dt, bucket.quantity)
+    # the store's total content per period
+    content = [{level[t]: 1.0, **{levels[t]: 1.0 for levels in stored}}
+               for t in range(T)]
+    for lo, hi, coeffs in zip(_series("capacity_lo", horizon),
+                              _series("capacity_hi", horizon), content):
+        prog.add_constraint(lo, coeffs, ">=", 0.0)
+        prog.add_constraint(hi, coeffs, "<=", storage.capacity)
+    prog.add_constraint("end_level", content[-1], ">=", interval.end_level)
     sol = _solve_or_raise(prog, "end_level")
-    loads, gens = _extract_dispatch(sol, interval, 0)
-    prices = _prices(sol, T, dt)
-    ranges = _face_ranges(prog, sol, T, dt) if compute_ranges else None
-    intra_charge = tuple(snap_zero(sol.primal[f"pCa[{t + 1}]"])
-                         for t in range(T))
-    intra_level = tuple(snap_zero(sol.primal[f"ea[{t + 1}]"])
-                        for t in range(T))
-    inter_discharge = tuple(
-        tuple(snap_zero(sol.primal[f"pD[{v + 1},{t + 1}]"]) for t in range(T))
-        for v in range(V))
-    inter_level = tuple(
-        tuple(snap_zero(sol.primal[f"ee[{v + 1},{t + 1}]"]) for t in range(T))
-        for v in range(V))
+    loads, gens = _dispatch(sol, periods)
+    prices = _prices(sol, balance, dt)
+    ranges = _face_ranges(prog, sol, balance, dt) if compute_ranges else None
+    intra_charge = _read(sol, charge)
+    intra_level = _read(sol, level)
+    inter_discharge = tuple(_read(sol, flows) for flows in discharge)
+    inter_level = tuple(_read(sol, levels) for levels in stored)
     injection = tuple(
         snap_zero(intra_charge[t] - sum(row[t] for row in inter_discharge))
         for t in range(T))
     result = ClearingResult(
         mode="vlb", delta_t=dt, n_periods=T,
-        load_dispatch=tuple(loads), gen_dispatch=tuple(gens),
+        load_dispatch=loads, gen_dispatch=gens,
         storage_injection=injection,
         prices=prices, price_ranges=ranges,
         intra_charge=intra_charge, intra_level=intra_level,

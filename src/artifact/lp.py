@@ -19,7 +19,9 @@ Conventions
 * ``sense`` is ``"max"`` or ``"min"``; bounds may be ``+-math.inf``, but
   not NaN, a lower bound of ``+inf`` or an upper bound of ``-inf``;
   objective coefficients, row coefficients and right-hand sides are
-  finite. The builder rejects other data with ``ValueError``.
+  finite. The builder rejects other data with ``ValueError``. Finite data
+  whose arithmetic overflows the float range fails ``solve`` or
+  ``check_certificates`` with ``LpNumericalError``.
 * Reported duals are oriented for the problem as stated: for a ``max``
   problem a binding ``<=`` row has a nonnegative dual.
 * Tolerances (``docs/decisions.md`` tabulates their scaling): ``EPS``
@@ -113,6 +115,7 @@ builder, used from one thread at a time.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -848,13 +851,41 @@ def _kind(factor: _Factor) -> str:
 def check_certificates(lp: LinearProgram,
                        solution: LpSolution) -> CertificateReport:
     """Verify primal feasibility, dual feasibility, complementary slackness,
-    and strong duality for an optimal (primal, dual) pair, to ``EPS``."""
+    and strong duality for an optimal (primal, dual) pair, to ``EPS``.
+    Raises ``ValueError`` unless ``solution`` is an optimal solution of
+    ``lp``, and ``LpNumericalError`` when a residual overflows."""
+    _check_solution(lp, solution, "check_certificates")
     std = _Standard(lp)
     sign, c = _objective(lp, std.m)
     x = np.array([solution.primal[name] for name in lp.variable_names], dtype=float)
     y_user = np.array([solution.duals[label] for label in lp.constraint_labels],
                       dtype=float)
-    return _certify(std, std.dense(), c, x, sign * y_user)
+    with _overflow_raises(lp):
+        return _certify(std, std.dense(), c, x, sign * y_user)
+
+
+def _check_solution(lp: LinearProgram, solution: LpSolution,
+                    caller: str) -> None:
+    """Raise ``ValueError`` unless ``solution`` is optimal and names exactly
+    the variables and rows of ``lp``."""
+    if solution.status != OPTIMAL:
+        raise ValueError(f"{caller} requires an optimal solution")
+    if (solution.primal.keys() != lp._index.keys()
+            or solution.duals.keys() != lp._labels.keys()):
+        raise ValueError(f"{caller}: the solution does not name the "
+                         f"variables and rows of {lp.name!r}")
+
+
+@contextmanager
+def _overflow_raises(lp: LinearProgram):
+    """Turn a floating-point overflow into ``LpNumericalError`` naming
+    ``lp``: finite data whose products exceed the float range."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise LpNumericalError(
+            f"{lp.name!r} overflows the floating-point range: {exc}") from exc
 
 
 def _certify(std: _Standard, A: np.ndarray, c: np.ndarray, x: np.ndarray,
@@ -919,15 +950,16 @@ def solve(lp: LinearProgram, start: ArrayLike | None = None) -> LpSolution:
         if start.shape != (std.n,):
             raise ValueError(f"start has shape {start.shape}, expected "
                              f"({std.n},)")
-    A = std.dense()
-    status, x, y, stats = _solve_reference(std, A, c, start)
-    if status != OPTIMAL:
-        return LpSolution(status=status, objective=math.nan, primal={},
-                          duals={}, stats=stats)
+    with _overflow_raises(lp):
+        A = std.dense()
+        status, x, y, stats = _solve_reference(std, A, c, start)
+        if status != OPTIMAL:
+            return LpSolution(status=status, objective=math.nan, primal={},
+                              duals={}, stats=stats)
+        objective = float(np.dot(np.asarray(lp._obj, dtype=float), x))
+        report = _certify(std, A, c, x, y)
     primal = dict(zip(lp._names, x.tolist()))
     duals = dict(zip(lp._labels, (sign * y).tolist()))
-    objective = float(np.dot(np.asarray(lp._obj, dtype=float), x))
-    report = _certify(std, A, c, x, y)
     if not report.ok:
         raise LpNumericalError(
             f"optimality certificates failed for {lp.name!r}: {report}")
@@ -948,7 +980,8 @@ def dual_range(lp: LinearProgram, solution: LpSolution,
     1 is skipped.
 
     One face serves every label of a solution: only its objective, a single
-    1.0 on ``y[label]``, differs between labels. The face is built on the
+    1.0 on ``y[label]``, differs between labels, and the face's column of a
+    label is its row's index in ``lp``. The face is built on the
     first label ranged and kept on ``lp`` for that ``solution`` (by
     identity); each label moves the 1.0 to itself and solves the same face,
     whose standard form and crashed start basis ``solve`` keeps in turn.
@@ -958,8 +991,7 @@ def dual_range(lp: LinearProgram, solution: LpSolution,
     dual lies inside the returned interval. A face that is unbounded in a
     direction gives that endpoint as ``-math.inf`` or ``math.inf``.
     """
-    if solution.status != OPTIMAL:
-        raise ValueError("dual_range requires an optimal solution")
+    _check_solution(lp, solution, "dual_range")
     if label not in lp._labels:
         raise ValueError(f"unknown constraint label {label!r}")
     if lp._face is None or lp._face[0] is not solution:
@@ -968,8 +1000,8 @@ def dual_range(lp: LinearProgram, solution: LpSolution,
         start = [sgn * solution.duals[lab] for lab in lp._labels]
         lp._face = solution, face, sgn, start
     _solution, face, sgn, start = lp._face
-    face._obj[face._obj.index(1.0)] = 0.0
-    face._obj[face._index[f"y[{label}]"]] = 1.0
+    face._obj = [0.0] * len(face._obj)
+    face._obj[lp._labels[label]] = 1.0
     name = f"{lp.name}:dualface:{label}"
     ends = []
     for direction in ("min", "max"):
@@ -1024,17 +1056,19 @@ def _dual_face(lp: LinearProgram, solution: LpSolution,
     x = solution.primal
     face = LinearProgram(name=f"{lp.name}:dualface:{label}")
     cols: dict[str, dict[str, float]] = {name: {} for name in lp.variable_names}
+    # column i is row i's dual
     for lab, coeffs, op, rhs in lp._rows:
+        y = f"y[{lab}]"
         slb, sub = _SLACK_BOUNDS[op]
         side = stationarity_op(
             rhs - sum(coef * x[name] for name, coef in coeffs.items()),
             slb, sub)
         ylb, yub = ((-math.inf, math.inf) if side is None
                     else (0.0, 0.0) if side == "==" else (slb, sub))
-        face.add_variable(f"y[{lab}]", lb=ylb, ub=yub,
+        face.add_variable(y, lb=ylb, ub=yub,
                           objective=1.0 if lab == label else 0.0)
         for name, coef in coeffs.items():
-            cols[name][f"y[{lab}]"] = coef
+            cols[name][y] = coef
     for name in lp.variable_names:
         op = stationarity_op(x[name], *lp.bounds(name))
         if op is not None:

@@ -154,31 +154,27 @@ def assign_charge_values(result: ClearingResult) -> ValuationSplit:
     pca = result.intra_charge
     lam = result.prices
     prog = lpmod.LinearProgram(name="charge_valuation", sense="min")
-    for t in range(T):
-        if pca[t] > MODEL_EPS:
-            prog.add_variable(f"ploc[{t + 1}]", 0.0, float("inf"),
-                              objective=-dt * lam[t])
-        else:
-            prog.add_variable(f"ploc[{t + 1}]", pca[t], pca[t],
-                              objective=-dt * lam[t])
-    for t in range(T):
-        prog.add_variable(f"pmov[{t + 1}]", 0.0, float("inf"))
+    horizon = range(1, T + 1)
+    local = [f"ploc[{t}]" for t in horizon]
+    moved = [f"pmov[{t}]" for t in horizon]
+    for var, charge, price in zip(local, pca, lam):
+        lb, ub = (0.0, float("inf")) if charge > MODEL_EPS else (charge, charge)
+        prog.add_variable(var, lb, ub, objective=-dt * price)
+    for var in moved:
+        prog.add_variable(var, 0.0, float("inf"))
     prog.add_constraint("nonneg_profit",
-                        {f"ploc[{t + 1}]": -lam[t] for t in range(T)},
+                        {var: -price for var, price in zip(local, lam)},
                         ">=", 0.0)
-    prog.add_constraint("local_energy",
-                        {f"ploc[{t + 1}]": 1.0 for t in range(T)}, "==", 0.0)
-    for t in range(T):
-        prog.add_constraint(f"total[{t + 1}]",
-                            {f"ploc[{t + 1}]": 1.0, f"pmov[{t + 1}]": 1.0},
-                            "==", pca[t])
+    prog.add_constraint("local_energy", dict.fromkeys(local, 1.0), "==", 0.0)
+    for t, loc, mov, charge in zip(horizon, local, moved, pca):
+        prog.add_constraint(f"total[{t}]", {loc: 1.0, mov: 1.0}, "==", charge)
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         raise ValuationError(
             f"charge valuation has no optimum (status {sol.status})")
     return ValuationSplit(
-        local=tuple(float(sol.primal[f"ploc[{t + 1}]"]) for t in range(T)),
-        moved=tuple(float(sol.primal[f"pmov[{t + 1}]"]) for t in range(T)))
+        local=tuple(float(sol.primal[var]) for var in local),
+        moved=tuple(float(sol.primal[var]) for var in moved))
 
 
 def update_ledger(result: ClearingResult, interval_index: int) -> ValueLedger:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import replace
 from importlib import resources
 
@@ -391,3 +392,42 @@ class TestFixtures:
         text = (resources.files("artifact") / "fixtures"
                 / "table1.json").read_text()
         assert parse_scenario(text) == table1_scenario("vlb")
+
+
+def _store_document(capacity=2.5, initial=0.0, bucket=None, end_level=0.0,
+                    penalty=2.0, utility=(12.0, 12.0), load_max=(3.0, 3.0)):
+    """One two-period interval with one load and one generator."""
+    return json.dumps({
+        "storage": {"capacity": capacity, "initial_energy": initial},
+        "mode": "vlb", "discount_rate": 0.0,
+        "initial_ledger": [] if bucket is None else [
+            {"price": 3.0, "quantity": bucket, "birth_interval": 0}],
+        "intervals": [{
+            "delta_t": 1.0, "n_periods": 2,
+            "loads": [{"id": "l1", "utility": list(utility),
+                       "max": list(load_max)}],
+            "generators": [{"id": "g1", "cost": [2.0, 5.0],
+                            "max": [2.0, 2.0]}],
+            "end_level": end_level, "penalty_price": penalty}]})
+
+
+class TestOverflowProbes:
+    """Finite data whose LP products overflow the float range: every mode
+    fails with an engine error in its report, and no numpy warning escapes
+    ``compare`` even where warnings are errors."""
+
+    @pytest.mark.parametrize("document", [
+        _store_document(utility=(1e308, 1e308), load_max=(1.0, 1.0)),
+        _store_document(capacity=1e308, initial=1e308, bucket=1e308),
+        _store_document(capacity=1e300, initial=1e300, bucket=1e300,
+                        end_level=1e300, penalty=1e10),
+    ], ids=["utility", "store-1e308", "store-1e300"])
+    def test_overflow_is_an_engine_error(self, document):
+        scenario = parse_scenario(document)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compare(scenario, ("ideal", "split_end_level",
+                                        "split_penalty", "vlb"))
+        assert all(m.error is not None for m in report.modes)
+        assert any("overflows the floating-point range" in m.error
+                   for m in report.modes)

@@ -2041,3 +2041,75 @@ class TestFlipsAndCrashedFactors:
             # the crash's one factorization, then the solves' own
             assert len(factored) == 1 + sum(s.factorizations
                                             for s in face_stats)
+
+
+def _infeasible_lp() -> lpmod.LinearProgram:
+    prog = lpmod.LinearProgram(name="infeasible")
+    prog.add_variable("x", 0.0, 1.0, objective=1.0)
+    prog.add_constraint("floor", {"x": 1.0}, ">=", 2.0)
+    return prog
+
+
+class TestSolutionMustFitTheLp:
+    """``check_certificates`` and ``dual_range`` judge an optimal solution
+    of the LP they are given; any other fails with ``ValueError``."""
+
+    def test_certificates_of_an_infeasible_solve(self):
+        prog = _infeasible_lp()
+        sol = lpmod.solve(prog)
+        assert sol.status == lpmod.INFEASIBLE
+        with pytest.raises(ValueError, match="requires an optimal solution"):
+            lpmod.check_certificates(prog, sol)
+
+    @pytest.mark.parametrize("where", ["primal", "duals"])
+    @pytest.mark.parametrize("change", ["renamed", "dropped", "added"])
+    def test_a_solution_naming_other_columns_or_rows(self, where, change):
+        prog = single_period_market_lp()
+        sol = lpmod.solve(prog)
+        values = {"primal": dict(sol.primal), "duals": dict(sol.duals)}
+        names = values[where]
+        first = next(iter(names))
+        if change != "added":
+            value = names.pop(first)
+        if change != "dropped":
+            names["other"] = value if change == "renamed" else 0.0
+        other = lpmod.LpSolution(sol.status, sol.objective, **values)
+        with pytest.raises(ValueError, match="does not name"):
+            lpmod.check_certificates(prog, other)
+        with pytest.raises(ValueError, match="does not name"):
+            lpmod.dual_range(prog, other, "balance")
+
+    def test_a_solution_of_another_lp(self):
+        prog = single_period_market_lp()
+        other = _capped_market_lp()
+        sol = lpmod.solve(other)
+        assert sol.status == lpmod.OPTIMAL
+        with pytest.raises(ValueError, match="does not name"):
+            lpmod.check_certificates(prog, sol)
+        with pytest.raises(ValueError, match="does not name"):
+            lpmod.dual_range(prog, sol, "balance")
+
+
+class TestOverflow:
+    """Finite data whose products leave the float range fail with
+    ``LpNumericalError`` naming the LP, never with a numpy warning."""
+
+    def test_objective_overflow_in_solve(self):
+        prog = lpmod.LinearProgram(name="huge")
+        for name in ("x", "y"):
+            prog.add_variable(name, 0.0, 1e308, objective=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(lpmod.LpNumericalError, match="'huge'.*overflow"):
+                lpmod.solve(prog)
+
+    def test_residual_overflow_in_check_certificates(self):
+        prog = single_period_market_lp()
+        sol = lpmod.solve(prog)
+        huge = dataclasses.replace(sol, duals={"balance": 1e308},
+                                   primal=dict(sol.primal, d=1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(lpmod.LpNumericalError,
+                               match="'smoke'.*overflow"):
+                lpmod.check_certificates(prog, huge)
