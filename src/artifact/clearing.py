@@ -127,11 +127,12 @@ def _add_bids(prog: lpmod.LinearProgram, intervals: tuple[IntervalSpec, ...],
 
 
 def _add_balance(prog: lpmod.LinearProgram, periods: list,
-                 storage: list[dict[str, float]]) -> list[str]:
+                 storage_terms: list[dict[str, float]]) -> list[str]:
     """Add one balance row per period of ``_add_bids``: its loads, less its
-    generators, plus the period's ``storage`` terms. Returns their labels."""
+    generators, plus the period's ``storage_terms``. Returns their labels."""
     rows = _series("balance", range(1, len(periods) + 1))
-    for row, (_iv, _t, loads, gens), terms in zip(rows, periods, storage):
+    for row, (_iv, _t, loads, gens), terms in zip(rows, periods,
+                                                  storage_terms):
         coeffs = dict.fromkeys(loads, 1.0)
         coeffs.update(dict.fromkeys(gens, -1.0))
         coeffs.update(terms)
@@ -168,9 +169,8 @@ def _prices(sol: lpmod.LpSolution, balance: list[str],
 
 def _face_ranges(prog: lpmod.LinearProgram, sol: lpmod.LpSolution,
                  balance: list[str], dt: float) -> tuple[tuple[float, float], ...]:
-    return tuple((snap_zero(lo / dt), snap_zero(hi / dt))
-                 for lo, hi in (lpmod.dual_range(prog, sol, row)
-                                for row in balance))
+    ranges = (lpmod.dual_range(prog, sol, row) for row in balance)
+    return tuple((snap_zero(lo / dt), snap_zero(hi / dt)) for lo, hi in ranges)
 
 
 # the side a generator's stationarity row puts on the price: its column
