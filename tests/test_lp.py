@@ -181,6 +181,33 @@ class TestCertificates:
         assert cert.complementarity_residual <= 1e-7
         assert cert.duality_gap <= 1e-7
 
+    def test_certificate_catches_a_pricing_that_hides_a_column(
+            self, monkeypatch):
+        # max 12 d - 4 p with d = p: the optimum is 24 at d = p = 3, but a
+        # pricing that never lets p improve stops at 0. The certificate
+        # prices with its own product, so it sees p's reduced cost.
+        prog = lpmod.LinearProgram(name="market", sense="max")
+        prog.add_variable("d", 0.0, 3.0, objective=12.0)
+        p = prog.add_variable("p", 0.0, 5.0, objective=-4.0)
+        prog.add_constraint("balance", {"d": 1.0, "p": -1.0}, "==", 0.0)
+        assert lpmod.solve(prog).objective == pytest.approx(24.0, abs=1e-9)
+        pricing = lpmod._pricing
+
+        def blind(columns):
+            price = pricing(columns)
+
+            def hiding_p(c, y):
+                rc = price(c, y)
+                rc[p] = 0.0
+                return rc
+
+            return hiding_p
+
+        monkeypatch.setattr(lpmod, "_pricing", blind)
+        with pytest.raises(lpmod.LpNumericalError,
+                           match="optimality certificates failed"):
+            lpmod.solve(prog)
+
     def test_checker_rejects_tampered_duals(self):
         prog = single_period_market_lp()
         sol = lpmod.solve(prog)
