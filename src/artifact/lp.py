@@ -65,34 +65,43 @@ and reduced costs. ``LpSolution.stats`` counts what a solve did.
 The basis LU takes one of two forms, by size alone (``_factor_basis``, the
 one place that picks); either gathers the basis columns once from the
 CSC a phase reads (below). A basis of fewer than ``_SPARSE_ROWS`` rows is
-scattered into a column-major array, the very array the dense ``A`` would
-give, that ``dgetrf`` (the routine ``scipy.linalg.lu_factor`` wraps,
-called directly) factors in place, and ``dgetrs`` solves with it. A larger
-basis goes to SuperLU (``scipy.sparse.linalg.splu``) as CSC, factored in
-its given column order, and ``SuperLU.solve`` solves with it. A storage
-chain's basis holds about one nonzero per column, so at a week's 337 rows
-the dense LU costs a ``dgetrf`` of the whole square and every solve
-streams all of it; below about 150 rows the sparse LU's per-call overhead
-costs more than it saves (``docs/decisions.md``). Both forms share the
-singularity rule, the eta block and everything else.
+scattered into a column-major array that ``dgetrf`` (the routine
+``scipy.linalg.lu_factor`` wraps, called directly) factors in place, and
+``dgetrs`` solves with it. A larger basis goes to SuperLU
+(``scipy.sparse.linalg.splu``) as CSC, factored in its given column
+order, and ``SuperLU.solve`` solves with it. A storage chain's basis
+holds about one nonzero per column, so at a week's 337 rows the dense LU
+costs a ``dgetrf`` of the whole square and every solve streams all of it;
+below about 150 rows the sparse LU's per-call overhead costs more than it
+saves (``docs/decisions.md``). Both forms share the singularity rule, the
+eta block and everything else.
 
 The standard form keeps ``A`` as its CSC alone (``_Standard.columns``):
 each column's (row, value) entries in row order, the slack identity last.
-Phase 1's artificial columns are never stored: they are the sign vector
-``art_sign``, column ``n + m + i`` being ``art_sign[i]`` in row ``i``, and
+It is the one matrix: no solve builds a dense ``A``, and a solved LP keeps
+no matrix but the LU of a crashed basis (below). Phase 1's artificial
+columns are never stored: they are the sign vector ``art_sign``, column
+``n + m + i`` being ``art_sign[i]`` in row ``i``, and
 ``_with_artificials`` forms the CSC of ``[A, diag(art_sign)]`` once per
-phase. Inside a phase that CSC is the one matrix: pricing computes the
-reduced costs ``c - A.T @ y`` from it, so each column's terms add up in
-row order, FTRAN reads the entering column from it, and every basis LU
-(the phases', the crash's and the drive-out's) gathers from it. A solve
-also builds the dense ``A`` once and drops it when it returns, so a
-solved LP keeps no matrix but the LU of a crashed basis (below). The
-dense ``A`` serves the products whose bits the tests pin: the feasible
-start, phase 1's residual, the drive-out row, the crash and the
-certificate check, which so stays an independent check of the pricing.
-Taken from the CSC instead, those products change bits: in a trial, 49
-of 124 certificate residual triples and the slacks of 9 of 51 feasible
-starts differed.
+phase. Every product reads the CSC and adds its terms in a fixed order.
+``A @ x`` (``_Standard.product``: the feasible start's and the crash's
+row activities, phase 1's residual, the certificate's slacks) adds each
+row's terms in column order. ``y @ A`` (pricing's reduced costs, the
+drive-out row, the certificate's reduced costs) adds each column's terms
+in row order. ``_Standard.product`` and the certificate add with
+``_sums`` (``np.add.at``), so that a sum of finite terms that leaves the
+float range raises under ``_overflow_raises``, as the BLAS products did;
+an inf row activity would otherwise read as an infeasible start. FTRAN
+reads the entering column from the CSC, and each dense block is gathered
+from it (``_gather``, ``_block``): the LU of a basis below
+``_SPARSE_ROWS`` rows, the crash's two blocks, and the feasible start's
+elimination workspace, which holds the open rows only. The certificate
+check forms its reduced costs with its own product and never calls
+``_pricing``: a pricing that hid an improving column would stop early,
+and the certificate, which prices every column again, rejects that stop.
+The dense BLAS products these replaced added in an order of their own;
+of the changed bits only phase 1's residual reaches a report, in the
+last digits of some ``vlb`` values (``docs/decisions.md``).
 
 Ranging builds one dual face per ranged solution: the duals complementary
 to the optimal primal (Jansen, de Jong, Roos & Terlaky, EJOR 101, 1997),
@@ -325,9 +334,10 @@ class _Standard:
     """Internal min-form constraints A x = b, lb <= x <= ub, where columns
     [0, n) are the user's variables and [n, n+m) are row slacks, with
     ``b_scale = max(1, max|b|)``. ``A`` is held as its CSC alone
-    (``columns``): ``dense`` builds the matrix for one solve, and nothing
-    keeps it. No objective (``_objective`` reads that at each solve): it
-    holds while the LP gains no variable or row."""
+    (``columns``, with ``cols`` the column of each entry); every product
+    and dense block reads it, and no dense ``A`` is ever built. No
+    objective (``_objective`` reads that at each solve): it holds while
+    the LP gains no variable or row."""
 
     def __init__(self, lp: LinearProgram):
         self.n = n = lp.n_variables
@@ -352,29 +362,28 @@ class _Standard:
         vals += [1.0] * m
         order = np.argsort(cols, kind="stable")
         rows = np.asarray(rows, dtype=np.intp)[order]
-        cols = np.asarray(cols, dtype=np.intp)[order]
+        self.cols = cols = np.asarray(cols, dtype=np.intp)[order]
         vals = np.asarray(vals, dtype=float)[order] + 0.0  # -0.0 -> 0.0
         # column j's entries are [starts[j], starts[j + 1])
         self.columns = (np.searchsorted(cols, np.arange(n + m + 1)), rows,
                         vals)
         self.b_scale = max(1.0, float(np.max(np.abs(self.b), initial=0.0)))
 
-    def dense(self) -> np.ndarray:
-        """The dense ``A``, built from its CSC."""
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """``A[:, :k] @ x`` for ``k = len(x)``, each row's terms added in
+        column order (``_sums``)."""
         starts, rows, vals = self.columns
-        total = self.n + self.m
-        A = np.zeros((self.m, total))
-        A[rows, np.repeat(np.arange(total), np.diff(starts))] = vals
-        return A
+        end = starts.item(len(x))
+        return _sums(rows[:end], vals[:end] * x[self.cols[:end]], self.m)
 
-    def crash(self, A: np.ndarray, start: np.ndarray) -> tuple | None:
-        """``_crash_basis(self, A, start)`` and the LU of its basis, kept for
+    def crash(self, start: np.ndarray) -> tuple | None:
+        """``_crash_basis(self, start)`` and the LU of its basis, kept for
         the last ``start`` (by its exact bytes). Hands out copies of the
         point, the states and the basis, which phase 2 moves in place, and
         the LU itself, which no solve writes."""
         key = start.tobytes()
         if key != self._crash_key:
-            crashed = _crash_basis(self, A, start)
+            crashed = _crash_basis(self, start)
             if crashed is not None:
                 crashed += (_factor_basis(self.columns, crashed[2]),)
             self._crash_key, self._crashed = key, crashed
@@ -415,6 +424,37 @@ def _with_artificials(columns: tuple, art_sign: np.ndarray) -> tuple:
             np.concatenate([vals, art_sign]))
 
 
+def _gather(columns: tuple, cols: np.ndarray) -> tuple:
+    """The columns ``cols`` of the CSC ``columns``, in that order, as a CSC
+    of their own."""
+    starts, rows, vals = columns
+    first = starts[cols]
+    count = starts[cols + 1] - first
+    indptr = np.concatenate([[0], np.cumsum(count)])
+    at = np.repeat(first - indptr[:-1], count) + np.arange(indptr[-1])
+    return indptr, rows[at], vals[at]
+
+
+def _block(columns: tuple, rows: np.ndarray) -> np.ndarray:
+    """The rows of the CSC ``columns`` that the mask ``rows`` selects, in
+    order, as a dense column-major array; no other row is ever stored."""
+    starts, index, vals = columns
+    size, keep = len(starts) - 1, rows[index]
+    block = np.zeros((int(np.count_nonzero(rows)), size), order="F")
+    block[(np.cumsum(rows) - 1)[index[keep]],
+          np.repeat(np.arange(size), np.diff(starts))[keep]] = vals[keep]
+    return block
+
+
+def _sums(index: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """The sums of ``terms`` by ``index`` into ``size`` bins, each bin's in
+    entry order. ``np.add.at`` adds them, and not ``np.bincount``, so that
+    a sum that overflows raises under ``_overflow_raises``."""
+    out = np.zeros(size)
+    np.add.at(out, index, terms)
+    return out
+
+
 def _factor_basis(columns: tuple, basis: np.ndarray):
     """The LU of the basis columns of the CSC ``columns``, gathered once:
     SuperLU, factored in the given column order, when the basis has
@@ -422,19 +462,12 @@ def _factor_basis(columns: tuple, basis: np.ndarray):
     ``lu_factor`` wraps) on the basis scattered column-major. Either is
     singular, ``LpNumericalError``, when a factor is not finite or a pivot
     is below ``_SINGULAR`` times ``max(1, max|B|)``."""
-    starts, rows, vals = columns
     m = len(basis)
-    first = starts[basis]
-    count = starts[basis + 1] - first
-    indptr = np.concatenate([[0], np.cumsum(count)])
-    at = np.repeat(first - indptr[:-1], count) + np.arange(indptr[-1])
-    data, index = vals[at], rows[at]
+    indptr, index, data = sub = _gather(columns, basis)
     scale = max(1.0, float(np.abs(data).max(initial=0.0)))
     if m < _SPARSE_ROWS:
-        B = np.zeros((m, m), order="F")
-        B[index, np.repeat(np.arange(m), count)] = data
         # factored in place; an exact zero pivot fails the test below
-        lu, piv, _info = dgetrf(B, overwrite_a=1)
+        lu, piv, _info = dgetrf(_block(sub, np.ones(m, bool)), overwrite_a=1)
         factor, pivots = (lu, piv), lu.diagonal()
         finite = np.isfinite(lu).all()
     else:
@@ -673,7 +706,7 @@ def _run_phase(std: _Standard, art_sign: np.ndarray, c: np.ndarray,
             factor.update(r_best, w)
 
 
-def _feasible_start_basis(std: _Standard, A: np.ndarray, x: np.ndarray,
+def _feasible_start_basis(std: _Standard, x: np.ndarray,
                           state: np.ndarray) -> np.ndarray | None:
     """If the nonbasic start satisfies every row once slacks take their
     natural activity values, place those slacks, build a deterministic basis
@@ -682,7 +715,7 @@ def _feasible_start_basis(std: _Standard, A: np.ndarray, x: np.ndarray,
     infeasible."""
     n, m = std.n, std.m
     lo, hi = std.lb[n:], std.ub[n:]
-    want = std.b - A[:, :n] @ x[:n]
+    want = std.b - std.product(x[:n])
     tol = _START_TOL * std.b_scale
     if np.any(want < lo - tol) or np.any(want > hi + tol):
         return None
@@ -695,7 +728,7 @@ def _feasible_start_basis(std: _Standard, A: np.ndarray, x: np.ndarray,
     basis = np.where(forced, n + np.arange(m), -1)
     # open rows only: a row's update reads itself and the pivot row alone
     open_rows = np.flatnonzero(~forced)
-    W = A[open_rows]
+    W = _block(std.columns, ~forced)
     for k, i in enumerate(open_rows.tolist()):
         usable = np.flatnonzero((state != _BASIC)
                                 & (np.abs(W[k]) > _PIVOT_EPS))
@@ -710,22 +743,25 @@ def _feasible_start_basis(std: _Standard, A: np.ndarray, x: np.ndarray,
     return basis
 
 
-def _drive_out_artificials(A: np.ndarray, columns: tuple, state: np.ndarray,
+def _drive_out_artificials(columns: tuple, state: np.ndarray,
                            basis: np.ndarray) -> int:
     """Replace basic artificial columns (all at value zero after a feasible
     phase 1) with the lowest-index column of ``A`` having a usable pivot. An
     artificial without one (a redundant row) stays basic. ``columns`` is
     the CSC of ``[A, diag(art_sign)]``, whose basis each LU factors; the
-    row of ``B^-1 A`` is the dense product. Returns the number of basis
+    row of ``B^-1 A`` is the transposed product, each column's terms added
+    in row order as pricing adds them. Returns the number of basis
     factorizations made, one per artificial."""
-    n_real = A.shape[1]
+    n_real = len(state) - len(basis)
+    price = _pricing(columns)
     arts = np.flatnonzero(basis >= n_real)
     for k in arts:
         ek = np.zeros(len(basis))
         ek[k] = 1.0
-        row = _lu_solve(_factor_basis(columns, basis), ek, 1) @ A
+        # e_k B^-1 A, as the reduced costs of zero costs at duals -B^-T e_k
+        row = price(0.0, -_lu_solve(_factor_basis(columns, basis), ek, 1))
         usable = np.flatnonzero((state[:n_real] != _BASIC)
-                                & (np.abs(row) > _PIVOT_EPS))
+                                & (np.abs(row[:n_real]) > _PIVOT_EPS))
         if usable.size:
             state[basis[k]] = _AT_LOWER
             basis[k] = usable[0]
@@ -733,7 +769,7 @@ def _drive_out_artificials(A: np.ndarray, columns: tuple, state: np.ndarray,
     return len(arts)
 
 
-def _crash_basis(std: _Standard, A: np.ndarray, start: np.ndarray
+def _crash_basis(std: _Standard, start: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Build a feasible basis at a given point of the structural columns.
 
@@ -748,7 +784,7 @@ def _crash_basis(std: _Standard, A: np.ndarray, start: np.ndarray
     """
     n, m = std.n, std.m
     lb, ub = std.lb, std.ub
-    x = np.concatenate([start, std.b - A[:, :n] @ start])
+    x = np.concatenate([start, std.b - std.product(start)])
     if not np.all(np.isfinite(x)):
         return None
     tol = _PIVOT_EPS * max(float(np.max(np.abs(x))), std.b_scale)
@@ -764,7 +800,7 @@ def _crash_basis(std: _Standard, A: np.ndarray, start: np.ndarray
     if cols.size:
         if cols.size > tight.size:
             return None
-        block = A[np.ix_(tight, cols)]
+        block = _block(_gather(std.columns, cols), ~interior[n:])
         perm, _lower, upper = lu(block, p_indices=True, check_finite=False)
         if float(np.min(np.abs(np.diag(upper)))) <= (
                 _PIVOT_EPS * max(1.0, float(np.max(np.abs(block))))):
@@ -777,42 +813,41 @@ def _crash_basis(std: _Standard, A: np.ndarray, start: np.ndarray
     x[basis] = 0.0
     # basic values: the interior columns from their pivot rows, then every
     # other row's own slack takes up what is left of its row
-    rest = std.b - A @ x
+    rest = std.b - std.product(x)
     pivot = basis < n
-    on_pivot = basis[pivot]
-    x[on_pivot] = np.linalg.solve(A[np.ix_(pivot, on_pivot)], rest[pivot])
-    rest -= A[:, on_pivot] @ x[on_pivot]
+    x[basis[pivot]] = np.linalg.solve(
+        _block(_gather(std.columns, basis[pivot]), pivot), rest[pivot])
+    rest -= std.product(np.where(state[:n] == _BASIC, x[:n], 0.0))
     x[basis[~pivot]] = rest[~pivot]
     if np.any(x < lb - tol) or np.any(x > ub + tol):
         return None
     return x, state, basis
 
 
-def _solve_reference(std: _Standard, A: np.ndarray, c: np.ndarray,
+def _solve_reference(std: _Standard, c: np.ndarray,
                      start: np.ndarray | None = None
                      ) -> tuple[str, np.ndarray, np.ndarray, SolveStats]:
-    """Bounded simplex for the min-form costs ``c`` over the standard form
-    with dense matrix ``A``, which the start paths and the drive-out read;
-    the phases read its CSC. Phase 2 starts from a basis crashed at
-    ``start`` when that is a feasible vertex, else from a feasible nonbasic
-    start, else after phase 1, whose artificial columns are the signs
-    ``art_sign`` alone: column ``total + i`` is ``art_sign[i]`` in row
-    ``i``. Returns (status, x, internal duals, counts)."""
+    """Bounded simplex for the min-form costs ``c`` over the standard form,
+    every step of which reads its CSC. Phase 2 starts from a basis crashed
+    at ``start`` when that is a feasible vertex, else from a feasible
+    nonbasic start, else after phase 1, whose artificial columns are the
+    signs ``art_sign`` alone: column ``total + i`` is ``art_sign[i]`` in
+    row ``i``. Returns (status, x, internal duals, counts)."""
     total = std.n + std.m
     m = std.m
     max_iter = 50 * (total + m)
     lb, ub, art_sign = std.lb, std.ub, np.zeros(0)
     phase_1, drive_outs, factor = None, 0, _Factor(m)
-    crashed = std.crash(A, start) if start is not None and m else None
+    crashed = std.crash(start) if start is not None and m else None
     if crashed is not None:
         # phase 2 starts on the crash's LU
         path, (x, state, basis, factor.lu) = CRASHED, crashed
     else:
         x, state = _initial_point(std)
-        basis = _feasible_start_basis(std, A, x, state)
+        basis = _feasible_start_basis(std, x, state)
         path = FEASIBLE_START if basis is not None else PHASE_1
     if basis is None:
-        residual = std.b - A @ x
+        residual = std.b - std.product(x)
         art_sign = np.where(residual >= 0, 1.0, -1.0)
         lb = np.concatenate([lb, np.zeros(m)])
         ub = np.concatenate([ub, np.full(m, math.inf)])
@@ -829,7 +864,7 @@ def _solve_reference(std: _Standard, A: np.ndarray, c: np.ndarray,
                     SolveStats(PHASE_1, phase_1, None,
                                factorization=_kind(factor)))
         drive_outs = _drive_out_artificials(
-            A, _with_artificials(std.columns, art_sign), state, basis)
+            _with_artificials(std.columns, art_sign), state, basis)
         if drive_outs:
             # phase 1's final factor may not be of phase 2's basis
             factor.lu = None
@@ -861,7 +896,7 @@ def check_certificates(lp: LinearProgram,
     y_user = np.array([solution.duals[label] for label in lp.constraint_labels],
                       dtype=float)
     with _overflow_raises(lp):
-        return _certify(std, std.dense(), c, x, sign * y_user)
+        return _certify(std, c, x, sign * y_user)
 
 
 def _check_solution(lp: LinearProgram, solution: LpSolution,
@@ -888,17 +923,18 @@ def _overflow_raises(lp: LinearProgram):
             f"{lp.name!r} overflows the floating-point range: {exc}") from exc
 
 
-def _certify(std: _Standard, A: np.ndarray, c: np.ndarray, x: np.ndarray,
+def _certify(std: _Standard, c: np.ndarray, x: np.ndarray,
              y: np.ndarray) -> CertificateReport:
     """Certificate residuals of structural values ``x`` and internal
-    min-form duals ``y`` for the costs ``c`` against one standard form with
-    dense matrix ``A``, judged to ``EPS``."""
-    n = std.n
+    min-form duals ``y`` for the costs ``c`` against one standard form,
+    judged to ``EPS``. Its reduced costs come from its own product, never
+    from ``_pricing``: the check stays independent of the pivots' pricing."""
+    _starts, rows, vals = std.columns
     # recover slack values from row activities
-    xe = np.concatenate([x, std.b - A[:, :n] @ x])
+    xe = np.concatenate([x, std.b - std.product(x)])
     scale = _max0(np.abs(xe), [std.b_scale])
     primal_res = _max0(std.lb - xe, xe - std.ub)
-    rc = c - A.T @ y
+    rc = c - _sums(std.cols, vals * y[rows], len(c))
     # internal min form: positive rc must rest on a finite lower bound,
     # negative rc on a finite upper bound
     on_lb = (rc > 0) & (std.lb > -math.inf)
@@ -910,7 +946,7 @@ def _certify(std: _Standard, A: np.ndarray, c: np.ndarray, x: np.ndarray,
     dual_obj = (float(std.b @ y)
                 + float(rc[on_lb] @ std.lb[on_lb])
                 + float(rc[on_ub] @ std.ub[on_ub]))
-    primal_obj = float(c[:n] @ x)
+    primal_obj = float(c[:std.n] @ x)
     gap = abs(primal_obj - dual_obj) / max(1.0, abs(primal_obj))
     return CertificateReport(
         primal_residual=float(primal_res) / scale,
@@ -938,8 +974,7 @@ def solve(lp: LinearProgram, start: ArrayLike | None = None) -> LpSolution:
 
     The standard form is kept on the LP between solves, and so is the basis
     crashed at the last ``start`` with its LU: solving again with another
-    objective or sense, or from the same start, rebuilds neither. The
-    dense ``A`` is built for the solve and dropped when it returns.
+    objective or sense, or from the same start, rebuilds neither.
     """
     std = lp._standard
     if std is None:
@@ -951,13 +986,12 @@ def solve(lp: LinearProgram, start: ArrayLike | None = None) -> LpSolution:
             raise ValueError(f"start has shape {start.shape}, expected "
                              f"({std.n},)")
     with _overflow_raises(lp):
-        A = std.dense()
-        status, x, y, stats = _solve_reference(std, A, c, start)
+        status, x, y, stats = _solve_reference(std, c, start)
         if status != OPTIMAL:
             return LpSolution(status=status, objective=math.nan, primal={},
                               duals={}, stats=stats)
         objective = float(np.dot(np.asarray(lp._obj, dtype=float), x))
-        report = _certify(std, A, c, x, y)
+        report = _certify(std, c, x, y)
     primal = dict(zip(lp._names, x.tolist()))
     duals = dict(zip(lp._labels, (sign * y).tolist()))
     if not report.ok:

@@ -51,6 +51,7 @@ from helpers import (
     table5_scenario,
     table6_scenario,
 )
+from test_lp import _dense
 
 TOL = 1e-6
 
@@ -349,7 +350,8 @@ def least_storage_settlement(result) -> float:
     bounds = [(None if math.isinf(lo) else lo, None if math.isinf(hi) else hi)
               for lo, hi in zip(std.lb, std.ub)]
     res = scipy.optimize.linprog(
-        c, A_eq=std.dense(), b_eq=std.b, bounds=bounds, method="highs",
+        c, A_eq=_dense(std.columns, std.m), b_eq=std.b, bounds=bounds,
+        method="highs",
         options={"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10})
     if res.status == 3:

@@ -258,7 +258,9 @@ def _dense_rows(prog: lpmod.LinearProgram):
 def _certificates_by_loop(prog: lpmod.LinearProgram, solution):
     """The certificate residuals computed column by column from the
     LP's rows: the reference for the vectorized check. Returns
-    (A, residuals) with A the standard-form matrix [A | I]."""
+    (A, residuals) with A the standard-form matrix [A | I]. Its products
+    add each row's terms in column order and each column's in row order,
+    as the check does."""
     names = list(prog.variable_names)
     n, m = len(names), prog.n_constraints
     sign = -1.0 if prog.sense == "max" else 1.0
@@ -274,11 +276,11 @@ def _certificates_by_loop(prog: lpmod.LinearProgram, solution):
             lb[n + i] = -math.inf
     x = np.array([solution.primal[v] for v in names])
     y = sign * np.array([solution.duals[lab] for lab in prog.constraint_labels])
-    xe = np.concatenate([x, b - A[:, :n] @ x])
+    xe = np.concatenate([x, b - sum(A[:, j] * x[j] for j in range(n))])
     scale = max([1.0] + [abs(v) for v in xe] + [abs(v) for v in b])
     primal = dual = comp = 0.0
     dual_obj = float(b @ y)
-    rc = np.array(c) - A.T @ y
+    rc = np.array(c) - sum(A[i] * y[i] for i in range(m))
     for j in range(n + m):
         primal = max(primal, lb[j] - xe[j], xe[j] - ub[j])
         r = float(rc[j])
@@ -315,7 +317,8 @@ class TestCertificatesAgainstLoop:
                 {k: v + float(rng.normal()) for k, v in sol.duals.items()})
             for trial in (sol, moved):
                 A, want = _certificates_by_loop(prog, trial)
-                assert np.array_equal(lpmod._Standard(prog).dense(), A)
+                std = lpmod._Standard(prog)
+                assert np.array_equal(_dense(std.columns, std.m), A)
                 got = lpmod.check_certificates(prog, trial)
                 assert (got.primal_residual, got.dual_residual,
                         got.complementarity_residual) == want[:3]
@@ -573,8 +576,8 @@ class TestWarmStartedFaces:
         fallbacks = []
         crash = lpmod._crash_basis
 
-        def spy(std, A, start):
-            out = crash(std, A, start)
+        def spy(std, start):
+            out = crash(std, start)
             fallbacks.append(out is None)
             return out
 
@@ -1129,10 +1132,11 @@ def _initial_point_by_loop(std):
 
 def _feasible_start_basis_by_loop(std, A, x, state):
     """Row by row and column by column: the reference for
-    ``_feasible_start_basis``. It may write slacks before it fails."""
+    ``_feasible_start_basis``. It may write slacks before it fails. Each
+    row's activity adds its terms in column order, as the start does."""
     n, m = std.n, std.m
     total = n + m
-    want = std.b - A[:, :n] @ x[:n]
+    want = std.b - sum(A[:, j] * x[j] for j in range(n))
     tol = lpmod._START_TOL * max(1.0, float(np.max(np.abs(std.b)))
                                  if m else 1.0)
     forced = []
@@ -1245,8 +1249,8 @@ class TestStartBasesAgainstLoop:
             x_ref, state_ref = _initial_point_by_loop(std)
             assert _same_bits(x, x_ref) and _same_bits(state, state_ref)
             x0, state0 = x.copy(), state.copy()
-            A = std.dense()
-            basis = lpmod._feasible_start_basis(std, A, x, state)
+            A = _dense(std.columns, std.m)
+            basis = lpmod._feasible_start_basis(std, x, state)
             basis_ref = _feasible_start_basis_by_loop(std, A, x_ref,
                                                       state_ref)
             if basis_ref is None:
@@ -1263,22 +1267,23 @@ class TestStartBasesAgainstLoop:
         counts = []
         drive_out = lpmod._drive_out_artificials
 
-        def spy(A, columns, state, basis):
+        def spy(columns, state, basis):
             state_ref, basis_ref = state.copy(), basis.copy()
             # the loop runs on the dense matrix with phase 1's artificial
             # diagonal; it also pinned a redundant row's artificial at zero,
             # which phase 2 does for every artificial
-            A1 = _dense(columns, A.shape[0])
-            n_real = A.shape[1]
+            m = len(basis)
+            A1 = _dense(columns, m)
+            n_real = len(state) - m
             arts = A1[:, n_real:]
-            assert _same_bits(A1[:, :n_real], A)
+            assert _same_bits(A1[:, n_real - m:n_real], np.eye(m))
             assert _same_bits(arts, np.diag(np.diag(arts)))
             _drive_out_artificials_by_loop(
                 A1, np.zeros(A1.shape[1]), np.full(A1.shape[1], math.inf),
                 state_ref, basis_ref, n_real)
             # one factorization per artificial basic on entry
             want = int(np.count_nonzero(basis >= n_real))
-            count = drive_out(A, columns, state, basis)
+            count = drive_out(columns, state, basis)
             assert count == want
             assert _same_bits(basis, basis_ref)
             assert _same_bits(state, state_ref)
@@ -1371,30 +1376,39 @@ def _arrays(value):
 
 
 class TestMemory:
-    """A solve holds one dense ``A`` and a few basis-sized arrays at a
-    time, and a solved LP keeps no matrix."""
+    """A solve holds no dense ``A``: its products read the standard form's
+    CSC, and the only dense matrices are a small basis's LU, a crash's
+    blocks and the feasible start's open rows. A solved LP keeps no
+    matrix. ``dense`` below is the size a dense ``A`` would take."""
 
-    def test_week_solve_holds_one_dense_matrix(self):
+    @staticmethod
+    def _horizon(days: int, end_level: float) -> lpmod.LinearProgram:
         rng = np.random.default_rng(20261022)
         intervals = tuple(random_interval(rng, 2.0, n_periods=24,
-                                          delta_t=1.0, end_level=1.0)
-                          for _ in range(7))
-        prog = clear_ideal(StorageSpec(2.0, 0.0), intervals,
+                                          delta_t=1.0, end_level=end_level)
+                          for _ in range(days))
+        return clear_ideal(StorageSpec(2.0, 0.0), intervals,
                            compute_ranges=False).lp
+
+    def test_week_solve_holds_no_dense_matrix(self):
+        prog = self._horizon(7, 1.0)
         m, n = prog.n_constraints, prog.n_variables
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            sol = lpmod.solve(prog)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        sol, peak = self._traced_peak(lambda: lpmod.solve(prog))
         assert sol.stats.start == lpmod.PHASE_1
-        dense, square = 8 * m * (n + m), 8 * m * m
-        # phase 1's artificial block alone would add another dense A
-        assert peak < dense + 4 * square, (peak, dense, square)
+        dense = 8 * m * (n + m)
+        # the CSC, the sparse LU and the eta block: about 0.16 dense A
+        assert peak < 0.25 * dense, (peak, dense)
         kept = list(_arrays(prog)) + list(_arrays(sol))
         assert kept and all(a.ndim == 1 for a in kept)
+
+    def test_month_solve_holds_no_dense_matrix(self):
+        prog = self._horizon(30, 1.0)
+        m, n = prog.n_constraints, prog.n_variables
+        sol, peak = self._traced_peak(lambda: lpmod.solve(prog))
+        assert sol.stats.start == lpmod.PHASE_1
+        dense = 8 * m * (n + m)
+        # a dense A would take 58 MB here; the solve peaks near 2 MB
+        assert peak < 0.1 * dense, (peak, dense)
 
     @staticmethod
     def _traced_peak(call):
@@ -1409,19 +1423,14 @@ class TestMemory:
 
     def test_feasible_start_week_solve(self):
         # a zero final target: the empty store is a feasible start
-        rng = np.random.default_rng(20261022)
-        intervals = tuple(random_interval(rng, 2.0, n_periods=24,
-                                          delta_t=1.0, end_level=0.0)
-                          for _ in range(7))
-        prog = clear_ideal(StorageSpec(2.0, 0.0), intervals,
-                           compute_ranges=False).lp
+        prog = self._horizon(7, 0.0)
         m, n = prog.n_constraints, prog.n_variables
         sol, peak = self._traced_peak(lambda: lpmod.solve(prog))
         assert sol.stats.start == lpmod.FEASIBLE_START
         dense, square = 8 * m * (n + m), 8 * m * m
         # every row is an equality, so no slack is forced basic and the
-        # start eliminates on a copy of every row of A: two dense A at most
-        assert peak < 2 * dense + square, (peak, dense, square)
+        # start eliminates on every row: its workspace alone is one dense A
+        assert peak < dense + square, (peak, dense, square)
 
     def test_start_elimination_copies_only_open_rows(self):
         # a week-long vlb interval: every capacity_hi slack starts strictly
@@ -1432,22 +1441,21 @@ class TestMemory:
         prog = clear_vlb(iv, StorageSpec(2.0, 0.0), ValueLedger(()),
                          compute_ranges=False).lp
         std = lpmod._Standard(prog)
-        A = std.dense()
+        dense = 8 * std.m * (std.n + std.m)
         x, state = lpmod._initial_point(std)
         basis, peak = self._traced_peak(
-            lambda: lpmod._feasible_start_basis(std, A, x, state))
+            lambda: lpmod._feasible_start_basis(std, x, state))
         slack = x[std.n:]
         forced = int(np.count_nonzero((slack > std.lb[std.n:])
                                       & (slack < std.ub[std.n:])))
         assert basis is not None and forced >= 100
         open_share = 1.0 - forced / std.m
-        assert peak < (open_share + 0.1) * A.nbytes, (peak, A.nbytes,
-                                                      open_share)
+        assert peak < (open_share + 0.1) * dense, (peak, dense, open_share)
 
 
 def _dense_with_artificials(std, art_sign):
     """The dense ``[A, diag(art_sign)]`` a phase prices."""
-    A = std.dense()
+    A = _dense(std.columns, std.m)
     return np.hstack([A, np.diag(art_sign)]) if art_sign.size else A
 
 
@@ -1757,10 +1765,10 @@ class TestKeptStateNeverGoesStale:
         crashed = []
         crash = lpmod._crash_basis
 
-        def spy(std, A, start):
+        def spy(std, start):
             if std is prog._standard:
                 crashed.append(start.tolist())
-            return crash(std, A, start)
+            return crash(std, start)
 
         monkeypatch.setattr(lpmod, "_crash_basis", spy)
         for start in ([0.0, 4.0], [4.0, 0.0], [4.0, 0.0], [0.0, 4.0]):
@@ -1906,7 +1914,8 @@ class TestSparseFactor:
         rng = np.random.default_rng(48)
         for prog, _sol in _fixture_clearings():
             std = lpmod._Standard(prog)
-            A = std.dense()
+            # the CSC holds the LP's rows and the slack identity
+            A = np.hstack([_dense_rows(prog)[0], np.eye(std.m)])
             assert _same_bits(_dense(std.columns, std.m), A)
             # every column of [A, diag(art_sign)], with and without
             # artificials, as the phases read it
@@ -1941,8 +1950,8 @@ class TestSparseFactor:
         bases = {}
         drive_out = lpmod._drive_out_artificials
 
-        def spy(A, columns, state, basis):
-            count = drive_out(A, columns, state, basis)
+        def spy(columns, state, basis):
+            count = drive_out(columns, state, basis)
             bases[kind] = (count, basis.tolist())
             return count
 
@@ -2129,6 +2138,36 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(lpmod.LpNumericalError, match="'huge'.*overflow"):
                 lpmod.solve(prog)
+
+    def test_row_sum_overflow_in_solve(self):
+        # each term is finite and so is the row's value, 1e308 + w, but
+        # its first two terms overflow when added: an error, never the
+        # verdict "infeasible" an inf row activity would give
+        prog = lpmod.LinearProgram(name="huge-row")
+        for name, bound in (("x", 1e308), ("z", 1e308), ("y", -1e308)):
+            prog.add_variable(name, bound, bound)
+        prog.add_variable("w", 0.0, 1.0, objective=1.0)
+        prog.add_constraint("row", {"x": 1.0, "z": 1.0, "y": 1.0, "w": 1.0},
+                            "<=", 1.5e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(lpmod.LpNumericalError,
+                               match="'huge-row'.*overflow"):
+                lpmod.solve(prog)
+
+    def test_column_sum_overflow_in_check_certificates(self):
+        # x's reduced cost adds two finite terms of -1e308
+        prog = lpmod.LinearProgram(name="tiny", sense="max")
+        prog.add_variable("x", 0.0, 1.0, objective=1.0)
+        prog.add_constraint("r1", {"x": 1.0}, "<=", 1e-300)
+        prog.add_constraint("r2", {"x": 1.0}, "<=", 1e-300)
+        sol = lpmod.solve(prog)
+        huge = dataclasses.replace(sol, duals={"r1": 1e308, "r2": 1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(lpmod.LpNumericalError,
+                               match="'tiny'.*overflow"):
+                lpmod.check_certificates(prog, huge)
 
     def test_residual_overflow_in_check_certificates(self):
         prog = single_period_market_lp()
