@@ -100,8 +100,9 @@ check forms its reduced costs with its own product and never calls
 ``_pricing``: a pricing that hid an improving column would stop early,
 and the certificate, which prices every column again, rejects that stop.
 The dense BLAS products these replaced added in an order of their own;
-of the changed bits only phase 1's residual reaches a report, in the
-last digits of some ``vlb`` values (``docs/decisions.md``).
+of the changed bits only phase 1's residual reached a report, through
+the charge-valuation LP, which a sort on price has since replaced
+(``docs/decisions.md``).
 
 Ranging builds one dual face per ranged solution: the duals complementary
 to the optimal primal (Jansen, de Jong, Roos & Terlaky, EJOR 101, 1997),

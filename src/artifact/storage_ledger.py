@@ -5,7 +5,7 @@ The vlb clearing prices previously stored energy through buckets of a
 After each interval that ledger is updated from the result alone:
 discharged energy shrinks its buckets, and — when the interval net charged
 — the fresh charge is split into a break-even local component and a moved
-component via a small LP, the moved energy entering the ledger as new
+component by a sort on price, the moved energy entering the ledger as new
 buckets priced at the clearing prices of the periods in which it was
 charged. An optional discount ages bucket prices between intervals.
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from . import lp as lpmod
 from .errors import LpNumericalError, SimultaneityError, ValuationError
 from .model import (AUDIT_EPS, MODEL_EPS, ValueBucket, ValueLedger,
                     snap_zero)
@@ -141,40 +140,47 @@ class ValuationSplit:
 def assign_charge_values(result: ClearingResult) -> ValuationSplit:
     """Split the intra charge into local and moved components.
 
-    The split LP fixes the local component at every non-charging period,
-    keeps the local energy sum at zero, forbids the local trade from losing
-    money at the clearing prices, and among such splits minimises the local
-    profit. Intended for results with positive net charge; raises
-    ValuationError if no valid split exists.
+    A period that does not charge keeps its charge local. The charging
+    periods cover the interval's fresh discharge locally, dearest first
+    (equal prices: the earlier period first), which leaves the local trade
+    the least profit at the clearing prices. If that fill loses money, it
+    is mixed with the cheapest-first fill so that the local trade breaks
+    even. A profit within ``MODEL_EPS`` · max(1, |revenue of the fresh
+    discharge|) of zero breaks even. Intended for results with positive
+    net charge; raises ValuationError when the fresh discharge exceeds the
+    charge or even the cheapest fill loses money.
     """
     if result.mode != "vlb":
         raise ValueError("assign_charge_values expects a vlb result")
-    T = result.n_periods
-    dt = result.delta_t
-    pca = result.intra_charge
-    lam = result.prices
-    prog = lpmod.LinearProgram(name="charge_valuation", sense="min")
-    horizon = range(1, T + 1)
-    local = [f"ploc[{t}]" for t in horizon]
-    moved = [f"pmov[{t}]" for t in horizon]
-    for var, charge, price in zip(local, pca, lam):
-        lb, ub = (0.0, float("inf")) if charge > MODEL_EPS else (charge, charge)
-        prog.add_variable(var, lb, ub, objective=-dt * price)
-    for var in moved:
-        prog.add_variable(var, 0.0, float("inf"))
-    prog.add_constraint("nonneg_profit",
-                        {var: -price for var, price in zip(local, lam)},
-                        ">=", 0.0)
-    prog.add_constraint("local_energy", dict.fromkeys(local, 1.0), "==", 0.0)
-    for t, loc, mov, charge in zip(horizon, local, moved, pca):
-        prog.add_constraint(f"total[{t}]", {loc: 1.0, mov: 1.0}, "==", charge)
-    sol = lpmod.solve(prog)
-    if sol.status != lpmod.OPTIMAL:
+    pca, lam = result.intra_charge, result.prices
+    charging = [t for t, c in enumerate(pca) if c > MODEL_EPS]
+    fixed = [0.0 if c > MODEL_EPS else c for c in pca]
+    need, charged = -sum(fixed), sum(pca[t] for t in charging)
+    if need > charged:
         raise ValuationError(
-            f"charge valuation has no optimum (status {sol.status})")
-    return ValuationSplit(
-        local=tuple(float(sol.primal[var]) for var in local),
-        moved=tuple(float(sol.primal[var]) for var in moved))
+            f"fresh discharge of {result.delta_t * need:.6g} MWh exceeds "
+            f"the {result.delta_t * charged:.6g} MWh charged")
+
+    def fill(sign: float) -> tuple[list[float], float]:
+        """The split covering ``need`` in ascending ``sign`` · price, and
+        its local profit in EUR/h."""
+        local, left = list(fixed), need
+        for t in sorted(charging, key=lambda t: sign * lam[t]):
+            local[t] = min(pca[t], max(left, 0.0))
+            left -= local[t]
+        return local, -sum(p * x for p, x in zip(lam, local))
+
+    local, profit = fill(-1.0)
+    tol = MODEL_EPS * max(1.0, abs(sum(p * x for p, x in zip(lam, fixed))))
+    if profit < -tol:
+        cheap, best = fill(1.0)
+        if best < -tol:
+            raise ValuationError(f"the local trade cannot break even: its "
+                                 f"best profit is {best:.6g} EUR/h")
+        share = max(best, 0.0) / (best - profit)
+        local = [c + share * (d - c) for c, d in zip(cheap, local)]
+    return ValuationSplit(local=tuple(local),
+                          moved=tuple(c - x for c, x in zip(pca, local)))
 
 
 def update_ledger(result: ClearingResult, interval_index: int) -> ValueLedger:

@@ -2,28 +2,38 @@
 
 Expected outputs are hand-traced: each overlap move shifts discharge from
 the earliest simultaneous period to the earliest absorbing period, and each
-valuation split is the unique (or minimal-profit) solution of the small
-break-even LP.
+valuation split is the unique (or minimal-profit) break-even split. The
+break-even LP that once made the split is kept here as the price sort's
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from importlib import resources
 
+import numpy as np
 import pytest
 
+from artifact import lp as lpmod
+from artifact import storage_ledger
+from artifact.cli import FIXTURE_NAMES
 from artifact.clearing import ClearingResult, clear_vlb
-from artifact.errors import LpNumericalError, SimultaneityError, ValuationError
-from artifact.model import StorageSpec, ValueBucket, ValueLedger
+from artifact.errors import (InfeasibleError, LpNumericalError,
+                             SimultaneityError, ValuationError)
+from artifact.model import (MODEL_EPS, Scenario, StorageSpec, ValueBucket,
+                            ValueLedger, parse_scenario)
 from artifact.runner import run_scenario
 from artifact.storage_ledger import (
+    ValuationSplit,
     apply_discount,
     apply_net_discharge,
     assign_charge_values,
     remove_simultaneous,
     update_ledger,
 )
-from helpers import STORAGE, table1_scenario, table4_scenario
+from helpers import (STORAGE, interval, random_interval, random_vlb_scenario,
+                     table1_scenario, table4_scenario)
 
 
 def approx(x):
@@ -166,6 +176,223 @@ class TestAssignChargeValues:
         # forced to sell at 3 what was bought at 5: no break-even split
         with pytest.raises(ValuationError):
             assign_charge_values(vlb_result((1.0, -1.0), (5.0, 3.0)))
+
+    def test_rejection_names_the_best_profit(self):
+        with pytest.raises(ValuationError,
+                           match=r"best profit is -2 EUR/h"):
+            assign_charge_values(vlb_result((1.0, -1.0), (5.0, 3.0)))
+
+    def test_discharge_beyond_the_charge_rejected(self):
+        with pytest.raises(ValuationError,
+                           match=r"of 1 MWh exceeds the 0\.5 MWh charged"):
+            assign_charge_values(
+                vlb_result((1.0, -2.0), (5.0, 3.0), dt=0.5))
+
+    def test_dearest_fill_loses_money_so_the_split_breaks_even(self):
+        # bought at 4, 6 and 9, sold at 7: the dearest charge alone loses
+        # 2 EUR/h, the cheapest earns 3, and the mix between them breaks even
+        res = vlb_result((1.0, 1.0, 1.0, -1.0), (4.0, 6.0, 9.0, 7.0))
+        split = assign_charge_values(res)
+        assert_meets_the_lp(res, split)
+        assert local_profit(res, split) == pytest.approx(0.0, abs=1e-12)
+        assert split.local == approx((0.4, 0.0, 0.6, -1.0))
+        assert objective(res, split) == pytest.approx(
+            objective(res, oracle_split(res)), abs=1e-12)
+
+    @pytest.mark.parametrize("charge, prices, local", [
+        ((2.0, -1.0), (0.1 + 0.2, 0.3), (1.0, -1.0)),
+        ((1.0, 2.0, -1.0), (0.1 + 0.2, 0.05, 0.3), (1.0, 0.0, -1.0)),
+    ])
+    def test_a_loss_within_rounding_breaks_even(self, charge, prices, local):
+        # 0.1 + 0.2 is 0.30000000000000004: the dearest fill loses 5.6e-17
+        # EUR/h, which is rounding. With one charging period both fills are
+        # the same split, so taking that loss at face value would mix two
+        # equal splits (a division by zero) or reject a break-even trade.
+        res = vlb_result(charge, prices)
+        split = assign_charge_values(res)
+        assert -1e-15 < local_profit(res, split) < 0.0
+        assert split.local == local
+        assert_meets_the_lp(res, split)
+
+
+def oracle_split(result: ClearingResult) -> ValuationSplit:
+    """The charge-valuation LP the engine solved before the price sort.
+
+    The split LP fixes the local component at every non-charging period,
+    keeps the local energy sum at zero, forbids the local trade from losing
+    money at the clearing prices, and among such splits minimises the local
+    profit. Raises ValuationError if no valid split exists.
+    """
+    T = result.n_periods
+    dt = result.delta_t
+    pca = result.intra_charge
+    lam = result.prices
+    prog = lpmod.LinearProgram(name="charge_valuation", sense="min")
+    horizon = range(1, T + 1)
+    local = [f"ploc[{t}]" for t in horizon]
+    moved = [f"pmov[{t}]" for t in horizon]
+    for var, charge, price in zip(local, pca, lam):
+        lb, ub = (0.0, float("inf")) if charge > MODEL_EPS else (charge, charge)
+        prog.add_variable(var, lb, ub, objective=-dt * price)
+    for var in moved:
+        prog.add_variable(var, 0.0, float("inf"))
+    prog.add_constraint("nonneg_profit",
+                        {var: -price for var, price in zip(local, lam)},
+                        ">=", 0.0)
+    prog.add_constraint("local_energy", dict.fromkeys(local, 1.0), "==", 0.0)
+    for t, loc, mov, charge in zip(horizon, local, moved, pca):
+        prog.add_constraint(f"total[{t}]", {loc: 1.0, mov: 1.0}, "==", charge)
+    sol = lpmod.solve(prog)
+    if sol.status != lpmod.OPTIMAL:
+        raise ValuationError(
+            f"charge valuation has no optimum (status {sol.status})")
+    return ValuationSplit(
+        local=tuple(float(sol.primal[var]) for var in local),
+        moved=tuple(float(sol.primal[var]) for var in moved))
+
+
+def local_profit(result: ClearingResult, split: ValuationSplit) -> float:
+    """What the local trade earns at the clearing prices, EUR/h."""
+    return -sum(p * x for p, x in zip(result.prices, split.local))
+
+
+def objective(result: ClearingResult, split: ValuationSplit) -> float:
+    """The valuation LP's objective at ``split``: the local profit, EUR."""
+    return result.delta_t * local_profit(result, split)
+
+
+def born(result: ClearingResult, split: ValuationSplit) -> ValueLedger:
+    """The buckets ``update_ledger`` adds for ``split``."""
+    dt = result.delta_t
+    return ValueLedger.from_buckets(
+        ValueBucket(price, dt * moved, 1)
+        for price, moved in zip(result.prices, split.moved)
+        if dt * moved > MODEL_EPS)
+
+
+def assert_meets_the_lp(result: ClearingResult, split: ValuationSplit):
+    """``split`` satisfies every row and bound of the valuation LP."""
+    charge = result.intra_charge
+    revenue = sum(p * c for p, c in zip(result.prices, charge)
+                  if c <= MODEL_EPS)
+    assert abs(sum(split.local)) <= 1e-12 * max(1.0, sum(map(abs, charge)))
+    assert local_profit(result, split) >= -MODEL_EPS * max(1.0, abs(revenue))
+    for c, loc, mov in zip(charge, split.local, split.moved):
+        assert loc + mov == pytest.approx(c, abs=1e-12)
+        if c > MODEL_EPS:
+            assert -1e-12 <= loc and -1e-12 <= mov
+        else:
+            assert (loc, mov) == (c, 0.0)
+
+
+def valued_results(monkeypatch, scenarios, runs: int
+                   ) -> list[ClearingResult]:
+    """Every result whose charge ``update_ledger`` valued while the first
+    ``runs`` vlb runs of ``scenarios`` that clear ran, ranges off."""
+    valued = []
+    assign = storage_ledger.assign_charge_values
+
+    def record(result):
+        valued.append(result)
+        return assign(result)
+
+    monkeypatch.setattr(storage_ledger, "assign_charge_values", record)
+    for scenario in scenarios:
+        if runs == 0:
+            break
+        try:
+            run_scenario(replace(scenario, mode="vlb"), compute_ranges=False)
+        except InfeasibleError:
+            continue
+        runs -= 1
+    assert runs == 0
+    return valued
+
+
+def fixture_scenarios():
+    for name in FIXTURE_NAMES:
+        yield parse_scenario(
+            (resources.files("artifact") / "fixtures" / f"{name}.json")
+            .read_text())
+
+
+def random_scenarios():
+    """Seed-7 ``random_vlb_scenario`` draws."""
+    rng = np.random.default_rng(7)
+    while True:
+        yield random_vlb_scenario(rng)
+
+
+def day_scenarios():
+    """Two-interval, 12-period ``random_interval`` draws."""
+    rng = np.random.default_rng(12)
+    while True:
+        capacity = float(rng.uniform(0.5, 3.0))
+        dt = float(rng.choice([0.5, 1.0]))
+        yield Scenario(StorageSpec(capacity, 0.0), (
+            random_interval(rng, capacity, penalty=True, n_periods=12,
+                            delta_t=dt),
+            random_interval(rng, capacity, penalty=True, n_periods=12,
+                            delta_t=dt, end_level=0.0)), "vlb")
+
+
+def near_tie(price: float, prices: set[float]) -> bool:
+    """``price`` lies within 1e-12 relative of another of ``prices``."""
+    return any(0.0 < abs(price - q) <= 1e-12 * max(abs(price), abs(q))
+               for q in prices)
+
+
+class TestPriceSortAgainstTheLp:
+    """The price sort makes the split the valuation LP made: it meets the
+    LP's rows and bounds, reaches its objective, and gives the ledger the
+    same buckets. Only two charging prices within 1e-12 relative of each
+    other, which the simplex's pivot tolerance counts as tied, may send
+    the moved energy to a different one of them."""
+
+    @pytest.mark.parametrize("source, runs, floor", [
+        (fixture_scenarios, 4, 6), (random_scenarios, 400, 240),
+        (day_scenarios, 100, 40)])
+    def test_split_matches_the_oracle(self, monkeypatch, source, runs, floor):
+        valued = valued_results(monkeypatch, source(), runs)
+        assert len(valued) >= floor
+        near_ties = 0
+        for res in valued:
+            split, want = assign_charge_values(res), oracle_split(res)
+            assert_meets_the_lp(res, split)
+            assert abs(objective(res, split) - objective(res, want)) \
+                <= 1e-12 * max(1.0, abs(objective(res, want)))
+            got_ledger, want_ledger = born(res, split), born(res, want)
+            assert got_ledger.total == pytest.approx(want_ledger.total,
+                                                     abs=1e-12)
+            got = {b.price: b.quantity for b in got_ledger.buckets}
+            ref = {b.price: b.quantity for b in want_ledger.buckets}
+            if got.keys() == ref.keys():
+                for price, qty in got.items():
+                    assert abs(qty - ref[price]) <= 1e-12 * max(1.0, qty)
+                continue
+            charging = {p for p, c in zip(res.prices, res.intra_charge)
+                        if c > MODEL_EPS}
+            assert all(near_tie(p, charging) for p in got.keys() ^ ref.keys())
+            near_ties += 1
+        assert near_ties < 0.01 * len(valued)
+
+
+class TestLedgerUpdateSolvesNoLp:
+    def test_one_solve_per_interval(self, monkeypatch):
+        # every interval charges, so every ledger update values its charge
+        scn = Scenario(StorageSpec(10.0, 0.0), tuple(
+            interval([12.0], [1.0], [[1.0]], [[3.0]], level, 2.0)
+            for level in (1.0, 2.0, 3.0)), "vlb")
+        solved = []
+        solve = lpmod.solve
+
+        def count(prog, *args, **kwargs):
+            solved.append(prog.name)
+            return solve(prog, *args, **kwargs)
+
+        monkeypatch.setattr(lpmod, "solve", count)
+        assert len(valued_results(monkeypatch, [scn], 1)) == 3
+        assert len(solved) == 3, solved
 
 
 class TestUpdateLedger:
