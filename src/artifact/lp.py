@@ -9,10 +9,13 @@ dual multiplicity ranges computed over the optimal dual face.
 A solve starts on one of three paths (``SolveStats.start``), and each ends
 in the same phase 2. ``CRASHED``: a given starting point that is a feasible
 vertex gets a basis crashed at it; each dual-face solve starts so at the
-published dual. ``FEASIBLE_START``: with every column on a bound (free ones
-at 0) the row slacks fit their bounds, and elimination gives each row its
-lowest-index usable pivot; an LP without rows starts here. ``PHASE_1``:
-otherwise, with artificials still basic driven out before phase 2.
+published dual. The crash picks its pivot rows with ``dgetrf``, factors
+its basis once with ``_factor_basis`` and solves every basic value from
+that LU, on which phase 2 then starts. ``FEASIBLE_START``: with every
+column on a bound (free ones at 0) the row slacks fit their bounds, and
+elimination gives each row its lowest-index usable pivot; an LP without
+rows starts here. ``PHASE_1``: otherwise, with artificials still basic
+driven out before phase 2.
 
 Conventions
 -----------
@@ -90,19 +93,15 @@ row's terms in column order. ``y @ A`` (pricing's reduced costs, the
 drive-out row, the certificate's reduced costs) adds each column's terms
 in row order. ``_Standard.product`` and the certificate add with
 ``_sums`` (``np.add.at``), so that a sum of finite terms that leaves the
-float range raises under ``_overflow_raises``, as the BLAS products did;
-an inf row activity would otherwise read as an infeasible start. FTRAN
-reads the entering column from the CSC, and each dense block is gathered
-from it (``_gather``, ``_block``): the LU of a basis below
-``_SPARSE_ROWS`` rows, the crash's two blocks, and the feasible start's
-elimination workspace, which holds the open rows only. The certificate
-check forms its reduced costs with its own product and never calls
-``_pricing``: a pricing that hid an improving column would stop early,
-and the certificate, which prices every column again, rejects that stop.
-The dense BLAS products these replaced added in an order of their own;
-of the changed bits only phase 1's residual reached a report, through
-the charge-valuation LP, which a sort on price has since replaced
-(``docs/decisions.md``).
+float range raises under ``_overflow_raises``; an inf row activity would
+otherwise read as an infeasible start. FTRAN reads the entering column
+from the CSC, and each dense block is gathered from it (``_gather``,
+``_block``): the LU of a basis below ``_SPARSE_ROWS`` rows, the crash's
+tight-row block, and the feasible start's elimination workspace, which
+holds the open rows only. The certificate check forms its reduced costs
+with its own product and never calls ``_pricing``: a pricing that hid an
+improving column would stop early, and the certificate, which prices
+every column again, rejects that stop.
 
 Ranging builds one dual face per ranged solution: the duals complementary
 to the optimal primal (Jansen, de Jong, Roos & Terlaky, EJOR 101, 1997),
@@ -130,7 +129,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.linalg import lu
 from scipy.linalg.lapack import dgetrf, dgetrs, dtrtrs
 from scipy.sparse import csc_array
 from scipy.sparse.linalg import SuperLU, splu
@@ -378,16 +376,13 @@ class _Standard:
         return _sums(rows[:end], vals[:end] * x[self.cols[:end]], self.m)
 
     def crash(self, start: np.ndarray) -> tuple | None:
-        """``_crash_basis(self, start)`` and the LU of its basis, kept for
-        the last ``start`` (by its exact bytes). Hands out copies of the
-        point, the states and the basis, which phase 2 moves in place, and
-        the LU itself, which no solve writes."""
+        """``_crash_basis(self, start)``, basis LU included, kept for the
+        last ``start`` (by its exact bytes); it factors nothing itself.
+        Hands out copies of the point, the states and the basis, which
+        phase 2 moves in place, and the LU itself, which no solve writes."""
         key = start.tobytes()
         if key != self._crash_key:
-            crashed = _crash_basis(self, start)
-            if crashed is not None:
-                crashed += (_factor_basis(self.columns, crashed[2]),)
-            self._crash_key, self._crashed = key, crashed
+            self._crash_key, self._crashed = key, _crash_basis(self, start)
         if self._crashed is None:
             return None
         *arrays, basis_lu = self._crashed
@@ -770,18 +765,19 @@ def _drive_out_artificials(columns: tuple, state: np.ndarray,
     return len(arts)
 
 
-def _crash_basis(std: _Standard, start: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Build a feasible basis at a given point of the structural columns.
+def _crash_basis(std: _Standard, start: np.ndarray) -> tuple | None:
+    """Build a feasible basis at a given point of the structural columns,
+    and its LU.
 
     Columns strictly inside their bounds (free ones: away from 0) become
-    basic: structural ones on pivot rows taken from a partial-pivoting LU of
-    their tight-row block, slacks of non-tight rows in their own rows. Every
-    other row keeps its own slack; nonbasic columns rest on the bound they
-    sit on (free ones at 0) and basic values are recomputed from the basis.
-    Returns (x, state, basis), or None when the point is infeasible beyond a
-    scale-aware tolerance or its interior columns are dependent (it is not
-    a vertex).
+    basic: structural ones on the rows that ``dgetrf``'s partial pivoting
+    picks in their tight-row block, slacks of non-tight rows in their own
+    rows. Every other row keeps its own slack, and nonbasic columns rest on
+    the bound they sit on (free ones at 0). The basis is factored once
+    (``_factor_basis``) and every basic value solved from that LU, by
+    ``B x_B = b - N x_N``. Returns (x, state, basis, LU), or None when the
+    point is infeasible beyond a scale-aware tolerance or its interior
+    columns are dependent (it is not a vertex).
     """
     n, m = std.n, std.m
     lb, ub = std.lb, std.ub
@@ -802,27 +798,25 @@ def _crash_basis(std: _Standard, start: np.ndarray
         if cols.size > tight.size:
             return None
         block = _block(_gather(std.columns, cols), ~interior[n:])
-        perm, _lower, upper = lu(block, p_indices=True, check_finite=False)
-        if float(np.min(np.abs(np.diag(upper)))) <= (
-                _PIVOT_EPS * max(1.0, float(np.max(np.abs(block))))):
+        scale = max(1.0, float(np.max(np.abs(block))))
+        lu, piv, _info = dgetrf(block, overwrite_a=1)
+        if float(np.min(np.abs(lu.diagonal()))) <= _PIVOT_EPS * scale:
             return None
-        basis[tight[np.argsort(perm)[:cols.size]]] = cols
+        # the row interchanges in turn: the first cols.size rows pivot
+        rows = np.arange(tight.size)
+        for i, p in enumerate(piv.tolist()):
+            rows[[i, p]] = rows[[p, i]]
+        basis[tight[rows[:cols.size]]] = cols
     state = np.where(at_lower, _AT_LOWER,
                      np.where(at_upper, _AT_UPPER, _FREE)).astype(np.int8)
     state[basis] = _BASIC
     x = np.where(at_lower, lb, np.where(at_upper, ub, 0.0))
     x[basis] = 0.0
-    # basic values: the interior columns from their pivot rows, then every
-    # other row's own slack takes up what is left of its row
-    rest = std.b - std.product(x)
-    pivot = basis < n
-    x[basis[pivot]] = np.linalg.solve(
-        _block(_gather(std.columns, basis[pivot]), pivot), rest[pivot])
-    rest -= std.product(np.where(state[:n] == _BASIC, x[:n], 0.0))
-    x[basis[~pivot]] = rest[~pivot]
+    basis_lu = _factor_basis(std.columns, basis)
+    x[basis] = _lu_solve(basis_lu, std.b - std.product(x), 0)
     if np.any(x < lb - tol) or np.any(x > ub + tol):
         return None
-    return x, state, basis
+    return x, state, basis, basis_lu
 
 
 def _solve_reference(std: _Standard, c: np.ndarray,

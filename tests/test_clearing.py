@@ -17,7 +17,7 @@ import pytest
 from artifact import clearing as clearingmod
 from artifact import lp as lpmod
 from artifact import storage_ledger
-from artifact.cli import FIXTURE_NAMES
+from artifact.cli import FIXTURE_NAMES, compare
 from artifact.clearing import (
     clear_ideal,
     clear_split,
@@ -134,6 +134,34 @@ class TestInfeasibleIntervalIndex:
             run_scenario(self._second_interval_unreachable("ideal"))
         assert info.value.interval_index is None
 
+    @staticmethod
+    def _second_interval_without_generator(mode: str) -> Scenario:
+        # interval 2 must end full but has no generator, and interval 1's
+        # one unit gives 1 MW for 1 h: no mode reaches the final 2 MWh
+        return Scenario(StorageSpec(2.0, 0.0), (
+            interval([12.0], [1.0], [[5.0]], [[1.0]], 0.0, 2.0),
+            interval([12.0], [1.0], [], [], 2.0, 2.0),
+        ), mode)
+
+    @pytest.mark.parametrize("mode", ["split_end_level", "vlb"])
+    def test_interval_without_generator_is_named(self, mode):
+        with pytest.raises(InfeasibleError) as info:
+            run_scenario(self._second_interval_without_generator(mode))
+        assert info.value.interval_index == 2
+        assert info.value.stage == "end_level"
+
+    def test_compare_reports_every_mode_infeasible(self):
+        report = compare(self._second_interval_without_generator("vlb"),
+                         ("ideal", "split_end_level", "vlb"))
+        codes = {r.mode: r.error_code for r in report.modes}
+        assert codes == {"ideal": 3, "split_end_level": 3, "vlb": 3}
+
+    def test_ideal_misses_its_final_target_in_no_interval(self):
+        with pytest.raises(InfeasibleError) as info:
+            run_scenario(self._second_interval_without_generator("ideal"))
+        assert info.value.interval_index is None
+        assert info.value.stage == "end_level"
+
     @pytest.mark.parametrize("error", [ValuationError, SimultaneityError,
                                        LpNumericalError])
     def test_ledger_update_errors_name_their_interval(self, monkeypatch,
@@ -157,6 +185,34 @@ class TestInfeasibleIntervalIndex:
             run_scenario(scn)
         assert info.value.interval_index == 2
         assert len(valued) == 2
+
+
+class TestNegativeGeneratorCost:
+    """Two identical intervals whose generator is paid to produce (cost
+    -5). ``vlb`` ends interval 1 with the store full at a clearing price of
+    0, so the ledger holds a bucket priced 0. In interval 2 the LP
+    discharges that bucket in a period that also charges fresh energy,
+    and no period discharges fresh energy: ``remove_simultaneous`` has
+    nowhere to move the overlap. ``ideal`` and ``split_end_level`` clear
+    the same scenario with welfare 60."""
+
+    @staticmethod
+    def _scenario(mode: str) -> Scenario:
+        iv = interval([10.0, 10.0], [1.0, 1.0], [[-5.0, -5.0]], [[2.0, 2.0]],
+                      0.0, n_periods=2)
+        return Scenario(StorageSpec(2.0, 0.0), (iv, iv), mode)
+
+    def test_the_other_modes_clear_it(self):
+        report = compare(self._scenario("vlb"), ("ideal", "split_end_level"))
+        assert [r.document["totals"]["social_welfare"]
+                for r in report.modes] == approx([60.0, 60.0])
+
+    @pytest.mark.xfail(strict=True, raises=SimultaneityError,
+                       reason="a zero-price bucket released beside fresh "
+                       "charge: the rule that settles it is ROADMAP item "
+                       "17's decision")
+    def test_vlb_clears_it(self):
+        run_scenario(self._scenario("vlb"))
 
 
 class TestPenaltyTable1:

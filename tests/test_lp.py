@@ -1311,6 +1311,150 @@ class TestStartBasesAgainstLoop:
         assert sol.stats.start == lpmod.FEASIBLE_START
 
 
+def _crash_basis_by_lu(std, start):
+    """The crash as it was before it used the simplex's own LU: pivot rows
+    from ``scipy.linalg.lu``, the interior columns' values from
+    ``np.linalg.solve`` on their pivot block, and each other row's slack
+    given the rest of its row. Returns (x, state, basis) or None."""
+    n, m = std.n, std.m
+    lb, ub = std.lb, std.ub
+    x = np.concatenate([start, std.b - std.product(start)])
+    if not np.all(np.isfinite(x)):
+        return None
+    tol = lpmod._PIVOT_EPS * max(float(np.max(np.abs(x))), std.b_scale)
+    if np.any(x < lb - tol) or np.any(x > ub + tol):
+        return None
+    at_lower = (lb > -math.inf) & (x <= lb + tol)
+    at_upper = ~at_lower & (ub < math.inf) & (x >= ub - tol)
+    free_at_zero = (lb == -math.inf) & (ub == math.inf) & (np.abs(x) <= tol)
+    interior = ~(at_lower | at_upper | free_at_zero)
+    cols = np.flatnonzero(interior[:n])
+    tight = np.flatnonzero(~interior[n:])
+    basis = np.arange(n, n + m)
+    if cols.size:
+        if cols.size > tight.size:
+            return None
+        block = lpmod._block(lpmod._gather(std.columns, cols), ~interior[n:])
+        perm, _lower, upper = scipy.linalg.lu(block, p_indices=True,
+                                              check_finite=False)
+        if float(np.min(np.abs(np.diag(upper)))) <= (
+                lpmod._PIVOT_EPS * max(1.0, float(np.max(np.abs(block))))):
+            return None
+        basis[tight[np.argsort(perm)[:cols.size]]] = cols
+    state = np.where(at_lower, lpmod._AT_LOWER,
+                     np.where(at_upper, lpmod._AT_UPPER,
+                              lpmod._FREE)).astype(np.int8)
+    state[basis] = lpmod._BASIC
+    x = np.where(at_lower, lb, np.where(at_upper, ub, 0.0))
+    x[basis] = 0.0
+    rest = std.b - std.product(x)
+    pivot = basis < n
+    x[basis[pivot]] = np.linalg.solve(
+        lpmod._block(lpmod._gather(std.columns, basis[pivot]), pivot),
+        rest[pivot])
+    rest -= std.product(np.where(state[:n] == lpmod._BASIC, x[:n], 0.0))
+    x[basis[~pivot]] = rest[~pivot]
+    if np.any(x < lb - tol) or np.any(x > ub + tol):
+        return None
+    return x, state, basis
+
+
+class TestCrashAgainstTheLu:
+    """The crash picks its pivot rows with ``dgetrf`` and solves every basic
+    value from the one LU of its basis, which it returns. It makes the
+    decisions of the crash it replaced (``_crash_basis_by_lu``): the same
+    fallbacks, the same basis and states bit for bit, and basic values
+    within 1e-12 relative to max(1, |x|)."""
+
+    @staticmethod
+    def _assert_matches(std, start) -> bool:
+        """Compare both crashes at ``start``; True when they crash."""
+        start = np.asarray(start, dtype=float)
+        got = lpmod._crash_basis(std, start)
+        want = _crash_basis_by_lu(std, start)
+        if want is None:
+            assert got is None
+            return False
+        assert got is not None
+        x, state, basis, basis_lu = got
+        x_ref, state_ref, basis_ref = want
+        assert _same_bits(basis, basis_ref) and _same_bits(state, state_ref)
+        assert np.all(np.abs(x - x_ref)
+                      <= 1e-12 * np.maximum(1.0, np.abs(x_ref))), (
+            float(np.max(np.abs(x - x_ref))))
+        # the LU handed out is the basis's own
+        fresh = lpmod._factor_basis(std.columns, basis)
+        assert _same_bits(basis_lu[0], fresh[0])
+        assert _same_bits(basis_lu[1], fresh[1])
+        return True
+
+    @staticmethod
+    def _vertex(prog) -> list[float] | None:
+        sol = lpmod.solve(prog)
+        if sol.status != lpmod.OPTIMAL:
+            return None
+        return [sol.primal[name] for name in prog.variable_names]
+
+    def test_random_lps_at_vertices_and_elsewhere(self):
+        rng = np.random.default_rng(43)
+        outcomes = []
+        for _ in range(400):
+            prog, _data = _random_lp(rng)
+            std = lpmod._Standard(prog)
+            start = rng.uniform(-10.0, 10.0, std.n)
+            outcomes.append(("off", self._assert_matches(std, start)))
+            vertex = self._vertex(prog)
+            if vertex is None:
+                continue
+            outcomes.append(("vertex", self._assert_matches(std, vertex)))
+            # halfway to the other sense's optimum: feasible, and a vertex
+            # only when the two coincide
+            prog.sense = "min" if prog.sense == "max" else "max"
+            other = self._vertex(prog)
+            if other is not None:
+                middle = 0.5 * (np.asarray(vertex) + np.asarray(other))
+                outcomes.append(("middle", self._assert_matches(std, middle)))
+        assert outcomes.count(("vertex", True)) >= 120
+        assert outcomes.count(("vertex", False)) == 0
+        assert outcomes.count(("middle", False)) >= 80
+        assert outcomes.count(("off", False)) >= 350
+
+    def test_dependent_interior_columns_fall_back(self):
+        # at (1, 2) both columns are interior, and their entries on the two
+        # tight rows are parallel: the point is no vertex
+        prog = lpmod.LinearProgram(sense="max")
+        prog.add_variable("x", 0.0, 4.0, objective=1.0)
+        prog.add_variable("y", 0.0, 4.0, objective=1.0)
+        prog.add_constraint("cap", {"x": 1.0, "y": 1.0}, "<=", 3.0)
+        prog.add_constraint("twice", {"x": 2.0, "y": 2.0}, "<=", 6.0)
+        std = lpmod._Standard(prog)
+        assert not self._assert_matches(std, [1.0, 2.0])
+        assert self._assert_matches(std, [3.0, 0.0])
+
+    def test_dense_random_lps(self):
+        rng = np.random.default_rng(42)
+        crashed = 0
+        for _ in range(10):
+            prog = _dense_random_lp(rng)
+            std = lpmod._Standard(prog)
+            assert not self._assert_matches(
+                std, rng.uniform(-10.0, 10.0, std.n))
+            vertex = self._vertex(prog)
+            if vertex is not None:
+                crashed += self._assert_matches(std, vertex)
+        assert crashed >= 5
+
+    def test_face_starts_at_the_published_dual(self):
+        clearings = [(prog, sol) for prog, sol in _fixture_clearings()
+                     if prog.name.startswith("vlb")]
+        assert len(clearings) >= 5
+        clearings += _vlb_clearings(20261030, 40)
+        for prog, sol in clearings:
+            face, sgn = lpmod._dual_face(prog, sol, _balance_labels(prog)[0])
+            start = [sgn * sol.duals[lab] for lab in prog.constraint_labels]
+            assert self._assert_matches(lpmod._Standard(face), start)
+
+
 class TestSolveStats:
     def test_stats_name_the_start_path(self):
         cold = lpmod.LinearProgram(sense="min")
